@@ -332,6 +332,8 @@ def cmd_zero_scan(args) -> int:
     try:
         ordering = _load_ordering(args.ordering)
         state = _load_state(args.state)
+        if args.budget < 0:
+            raise ValueError("--budget must be non-negative")
         ctx = measure.Context(ordering, state, args.threshold)
         if args.detector is not None:
             position = ordering.position_of(ray_index(args.detector)) + 1
@@ -365,6 +367,7 @@ def cmd_zero_scan(args) -> int:
             "status": verdict.status,
             "scope": verdict.scope,
             "witness": [e.describe() for e in verdict.witness] if verdict.witness else None,
+            "witness_norms": [ctx.norm(e) for e in verdict.witness] if verdict.witness else None,
         },
         "pks_only_coverage": pks_baseline.status,
     }

@@ -29,7 +29,6 @@ from .colourings import (
 )
 from .measure import Context, HomogeneousEvent, InitialState, Ordering
 from .rays import N_RAYS, PERES_RAYS, are_orthogonal, enumerate_bases, ray_index
-from .spin import ray_projector
 
 MAX_SCAN_FIXED = 8
 
@@ -41,7 +40,7 @@ class Provenance(Enum):
     SCAN = "scan"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroEventRecord:
     event: HomogeneousEvent
     norm: float
@@ -51,53 +50,106 @@ class ZeroEventRecord:
         return f"{self.event.describe()}  norm={self.norm:.3e}  [{self.provenance.value}]"
 
 
+# provenance code -> provenance; the enum order is also the precedence
+_PROVENANCES = tuple(Provenance)
+
+# Records are built from the scan's result arrays this many rows at a time:
+# converting whole columns to Python lists first would hold four list slots
+# per zero row next to the records (tracemalloc peak of the depth-4 default
+# scan 58.3 MB instead of 52.8 MB).
+_RECORD_CHUNK = 8192
+
+
 @lru_cache(maxsize=1)
-def _pks_signature_sets():
-    return {tuple(b.indices) for b in enumerate_bases()}
+def _ray_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Exact orthogonality of every ray pair (33x33) and basis membership of
+    every ray triple (33x33x33), both symmetric under permuting the axes."""
+    orth = np.array(
+        [[are_orthogonal(a, b) for b in PERES_RAYS] for a in PERES_RAYS], dtype=bool
+    )
+    basis = np.zeros((N_RAYS,) * 3, dtype=bool)
+    for b in enumerate_bases():
+        for triple in itertools.permutations(b.indices):
+            basis[triple] = True
+    return orth, basis
+
+
+def _classify(ctx, position: np.ndarray, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
+    """Why is each of these events' state zero?  Codes index `_PROVENANCES`.
+
+    `rays` and boolean `greens` have shape (n, k) in chain order, as for
+    `batch_chain_norms`; `position` maps ray index to chain position.
+    Exact preclusion patterns rank first; then a green-green orthogonal
+    pair at consecutive stages; then a projector chain whose product
+    vanishes once the free stages are summed out (for a detected context,
+    every surviving sector chain must vanish); the rest are zeros of this
+    particular initial state.  A detector never sits between consecutive
+    stages and its red sector adds no green pair, so the adjacency test on
+    the event's own chain decides every sector chain of a detected context.
+    """
+    orth, basis = _ray_tables()
+    n, k = rays.shape
+    if k == 3:
+        pks = basis[rays[:, 0], rays[:, 1], rays[:, 2]] & ~greens.any(axis=1)
+    elif k == 2:
+        pks = orth[rays[:, 0], rays[:, 1]] & greens.all(axis=1)
+    else:
+        pks = np.zeros(n, dtype=bool)
+    pos = position[rays]
+    adjacent = (
+        (pos[:, 1:] == pos[:, :-1] + 1)
+        & greens[:, 1:]
+        & greens[:, :-1]
+        & orth[rays[:, :-1], rays[:, 1:]]
+    ).any(axis=1)
+    rest = ~(pks | adjacent)
+    collapse = np.zeros(n, dtype=bool)
+    if rest.any():
+        collapse[rest] = ctx.batch_operator_norms(rays[rest], greens[rest]) < ctx.threshold
+    # int8 codes: a scan keeps one per zero row until its records are built
+    return np.select([pks, adjacent, collapse], [0, 1, 2], default=3).astype(np.int8)
 
 
 def classify_zero_event(ctx, event: HomogeneousEvent) -> Provenance:
-    """Why is this event's state zero?
+    """Why is this event's state zero?  One event through the scan's batch
+    classifier (see `_classify` for the precedence)."""
+    position = ctx.ordering.positions()
+    steps = sorted(event.fixed.items(), key=lambda step: position[step[0]])
+    rays = np.array([i for i, _ in steps], dtype=int).reshape(1, -1)
+    greens = np.array([g for _, g in steps], dtype=bool).reshape(1, -1)
+    return _PROVENANCES[_classify(ctx, position, rays, greens)[0]]
 
-    Exact preclusion patterns rank first; then a green-green orthogonal
-    pair at consecutive stages; then any fixed-projector chain whose
-    operator product vanishes once the free stages are summed out (for a
-    detected context, every surviving sector chain must vanish); the rest
-    are zeros of this particular initial state.
-    """
-    fixed = event.fixed
-    rays = tuple(sorted(fixed))
-    if len(rays) == 3 and rays in _pks_signature_sets() and not any(fixed.values()):
-        return Provenance.PKS
-    if (
-        len(rays) == 2
-        and all(fixed.values())
-        and are_orthogonal(PERES_RAYS[rays[0]], PERES_RAYS[rays[1]])
-    ):
-        return Provenance.PKS
-    chains = ctx.sector_chains(event)
 
-    def has_adjacent_green_pair(chain) -> bool:
-        return any(
-            p2 == p1 + 1
-            and g1
-            and g2
-            and are_orthogonal(PERES_RAYS[i1], PERES_RAYS[i2])
-            for (p1, i1, g1), (p2, i2, g2) in zip(chain, chain[1:])
-        )
+def _zero_rows(ctx, max_fixed: int) -> tuple[np.ndarray, ...]:
+    """Record order, green masks, red masks, norms and provenance codes of
+    every zero event with 1..max_fixed fixed rays, as arrays.  Record order
+    sorts by number of fixed rays, then green mask, then red mask.
 
-    if all(has_adjacent_green_pair(chain) for chain in chains):
-        return Provenance.ACCIDENTAL_ADJACENT
-
-    def operator_vanishes(chain) -> bool:
-        op = np.eye(3, dtype=complex)
-        for _, i, g in chain:
-            op = ray_projector(i, g) @ op
-        return bool(np.linalg.norm(op) < ctx.threshold)
-
-    if all(operator_vanishes(chain) for chain in chains):
-        return Provenance.COARSE_GRAIN_COLLAPSE
-    return Provenance.SCAN
+    Kept apart from the record build, so that the per-batch arrays are
+    freed before the records exist; both peak at depth 4."""
+    position = ctx.ordering.positions()
+    batches = []  # per (k, pattern): n_fixed, green, red, norm, code of its zero rows
+    for k in range(1, max_fixed + 1):
+        combos = np.array(list(itertools.combinations(range(N_RAYS), k)), dtype=int)
+        order = np.argsort(position[combos], axis=1)
+        chains = np.take_along_axis(combos, order, axis=1)
+        ray_bits = np.int64(1) << combos
+        for pattern in range(1 << k):
+            # pattern bit j = colour of the j-th ray of the combo (1 = green)
+            bit = np.array([(pattern >> j) & 1 for j in range(k)], dtype=bool)
+            greens = np.take_along_axis(np.broadcast_to(bit, combos.shape), order, axis=1)
+            norms = ctx.batch_chain_norms(chains, greens)
+            zero = np.nonzero(norms < ctx.threshold)[0]
+            bits = ray_bits[zero]
+            batches.append((
+                np.full(zero.size, k, dtype=np.int8),
+                bits[:, bit].sum(axis=1),
+                bits[:, ~bit].sum(axis=1),
+                norms[zero],
+                _classify(ctx, position, chains[zero], greens[zero]),
+            ))
+    n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*batches))
+    return np.lexsort((red, green, n_fixed)), green, red, norm, code
 
 
 def scan_zero_events(ctx, max_fixed: int) -> tuple[ZeroEventRecord, ...]:
@@ -106,29 +158,17 @@ def scan_zero_events(ctx, max_fixed: int) -> tuple[ZeroEventRecord, ...]:
     plain or a detected context."""
     if not 1 <= max_fixed <= MAX_SCAN_FIXED:
         raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
-    position = np.empty(N_RAYS, dtype=int)
-    for p, r in enumerate(ctx.ordering.ray_at):
-        position[r] = p
-    records = []
-    for k in range(1, max_fixed + 1):
-        combos = np.array(list(itertools.combinations(range(N_RAYS), k)), dtype=int)
-        order = np.argsort(position[combos], axis=1)
-        chains = np.take_along_axis(combos, order, axis=1)
-        for pattern in range(1 << k):
-            # pattern bit j = colour of the j-th ray of the combo (1 = green)
-            bit = np.array([(pattern >> j) & 1 for j in range(k)], dtype=int)
-            greens_combo = np.broadcast_to(bit, combos.shape)
-            greens = np.take_along_axis(greens_combo, order, axis=1)
-            norms = ctx.batch_chain_norms(chains, greens)
-            for row in np.nonzero(norms < ctx.threshold)[0]:
-                fixed = {
-                    int(combos[row, j]): bool((pattern >> j) & 1) for j in range(k)
-                }
-                event = HomogeneousEvent.from_fixed(fixed)
-                records.append(
-                    ZeroEventRecord(event, float(norms[row]), classify_zero_event(ctx, event))
-                )
-    records.sort(key=lambda rec: (rec.event.n_fixed, rec.event.green_mask, rec.event.red_mask))
+    order, green, red, norm, code = _zero_rows(ctx, max_fixed)
+    records: list[ZeroEventRecord] = []
+    for lo in range(0, order.size, _RECORD_CHUNK):
+        rows = order[lo : lo + _RECORD_CHUNK]
+        records.extend(
+            ZeroEventRecord(HomogeneousEvent(g, r), x, _PROVENANCES[c])
+            for g, r, x, c in zip(
+                green[rows].tolist(), red[rows].tolist(),
+                norm[rows].tolist(), code[rows].tolist(),
+            )
+        )
     return tuple(records)
 
 
@@ -388,6 +428,8 @@ def ordering_search(
     """
     if strategy not in ("mixed", "structural"):
         raise ValueError("strategy must be 'mixed' or 'structural'")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     rng = np.random.default_rng(seed)
     candidates: list[SearchCandidate] = []
     gp, gpp = phi_m_support()

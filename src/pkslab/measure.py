@@ -12,6 +12,7 @@ event states (a convex combination of those terms for a mixed state).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,12 @@ class Ordering:
     def position_of(self, ray: int) -> int:
         return self.ray_at.index(ray)
 
+    def positions(self) -> np.ndarray:
+        """Ray index -> position (0-based), as an array for batch lookups."""
+        out = np.empty(N_RAYS, dtype=int)
+        out[list(self.ray_at)] = np.arange(N_RAYS)
+        return out
+
     def with_ray_last(self, ray: int) -> "Ordering":
         rest = [i for i in self.ray_at if i != ray]
         return Ordering(tuple(rest + [ray]))
@@ -62,6 +69,8 @@ class InitialState:
         total = 0.0
         for w, vec in terms:
             v = np.asarray(vec, dtype=complex).reshape(3)
+            if not (np.isfinite(v).all() and math.isfinite(w)):
+                raise ValueError("state vectors and weights must be finite")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ValueError("state vectors must be normalised to 1e-12")
             if w <= 0:
@@ -86,7 +95,7 @@ class InitialState:
         return len(self.terms) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomogeneousEvent:
     """Colourings agreeing with fixed colours on a ray subset, free elsewhere."""
 
@@ -232,12 +241,6 @@ class Context:
         steps = [(self._position[i], i, g) for i, g in event.fixed.items()]
         return [(ray, green) for _, ray, green in sorted(steps)]
 
-    def sector_chains(self, event: HomogeneousEvent) -> list[list[tuple[int, int, bool]]]:
-        """The (position, ray, colour) chains whose states sum to the event's
-        measure: one chain for a plain context."""
-        steps = sorted((self._position[i], i, g) for i, g in event.fixed.items())
-        return [steps]
-
     def event_state(self, event: HomogeneousEvent, psi: np.ndarray) -> np.ndarray:
         """Event state via identity collapse: apply only the fixed projectors."""
         v = np.asarray(psi, dtype=complex)
@@ -298,6 +301,20 @@ class Context:
                 acc += w * np.einsum("ni,ni->n", v.conj(), v).real
             out[lo:hi] = np.sqrt(np.maximum(acc, 0.0))
         return out
+
+    def batch_operator_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
+        """Frobenius norms of the projector products of many chains, laid out
+        as for `batch_chain_norms`.  A norm below the threshold means the
+        event is zero for every initial state."""
+        from .spin import _ray_projectors
+
+        projs = _ray_projectors()
+        n, k = rays.shape
+        g = greens.astype(int)
+        op = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
+        for step in range(k):
+            op = np.einsum("nij,njk->nik", projs[rays[:, step], 1 - g[:, step]], op)
+        return np.linalg.norm(op, axis=(1, 2))
 
 
 def truncated_path_states(
@@ -426,46 +443,41 @@ class DetectedContext:
     def is_zero(self, a) -> bool:
         return self.norm(a) < self.threshold
 
-    def sector_chains(self, event: HomogeneousEvent) -> list[list[tuple[int, int, bool]]]:
-        """The surviving sector chains: the detected ray joins the fixed set
-        in each sector compatible with the event."""
-        out = []
-        for green in (False, True):
-            cut = event.with_fixed(self.detected_ray, green)
-            if cut is not None:
-                out.extend(self.base.sector_chains(cut))
-        return out
-
-    def batch_chain_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
-        """Detected-measure norms for many chains: events fixing the detected
-        ray keep their base norm; the rest sum both sector measures, with the
-        detector stage spliced into each chain at its position."""
+    def _over_sectors(self, base_fn, rays, greens, combine) -> np.ndarray:
+        """Evaluate `base_fn` on many chains: events fixing the detected ray
+        keep their base value; for the rest the detector stage is spliced into
+        each chain at its position and the two sector values are combined."""
         n, k = rays.shape
         out = np.empty(n)
         fixes = (rays == self.detected_ray).any(axis=1)
         if fixes.any():
-            out[fixes] = self.base.batch_chain_norms(rays[fixes], greens[fixes])
-        free = np.nonzero(~fixes)[0]
-        if free.size:
-            r, g = rays[free], greens[free].astype(int)
-            position = np.empty(N_RAYS, dtype=int)
-            for p, ray in enumerate(self.ordering.ray_at):
-                position[ray] = p
-            det_pos = self.position - 1
-            insert_at = (position[r] < det_pos).sum(axis=1)
-            cols = np.arange(k + 1)
-            source = cols[None, :] - (cols[None, :] > insert_at[:, None])
-            take = np.take_along_axis  # splice: column insert_at becomes the detector
-            new_r = take(r, np.clip(source, 0, k - 1), axis=1)
-            new_g = take(g, np.clip(source, 0, k - 1), axis=1)
-            at_det = cols[None, :] == insert_at[:, None]
-            new_r = np.where(at_det, self.detected_ray, new_r)
-            acc = np.zeros(free.size)
+            out[fixes] = base_fn(rays[fixes], greens[fixes])
+        free = ~fixes
+        if free.any():
+            r = rays[free]
+            insert_at = (self.ordering.positions()[r] < self.position - 1).sum(axis=1)
+            at_det = np.arange(k + 1)[None, :] == insert_at[:, None]
+            new_r = np.full(at_det.shape, self.detected_ray)
+            new_r[~at_det] = r.ravel()
+            new_g = np.zeros(at_det.shape, dtype=int)
+            new_g[~at_det] = greens[free].ravel()
+            sectors = []
             for colour in (0, 1):
-                gg = np.where(at_det, colour, new_g)
-                acc += self.base.batch_chain_norms(new_r, gg) ** 2
-            out[free] = np.sqrt(acc)
+                new_g[at_det] = colour
+                sectors.append(base_fn(new_r, new_g))
+            out[free] = combine(*sectors)
         return out
+
+    def batch_chain_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
+        """Detected-measure norms for many chains: both sector measures summed."""
+        return self._over_sectors(
+            self.base.batch_chain_norms, rays, greens, lambda a, b: np.sqrt(a**2 + b**2)
+        )
+
+    def batch_operator_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
+        """The larger Frobenius norm of the surviving sector chains' projector
+        products: below the threshold only if every sector vanishes."""
+        return self._over_sectors(self.base.batch_operator_norms, rays, greens, np.maximum)
 
 
 def insert_detector(ctx: Context, position: int) -> DetectedContext:
@@ -514,20 +526,19 @@ class AxiomReport:
 def check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
     """Residuals of the decoherence-functional axioms and of the three-set
     interference sum rule, over random homogeneous events.  Works on plain
-    and detected contexts alike."""
-    herm = add = 0.0
-    pos = 0.0
+    and detected contexts alike.  Residuals are aggregated so that a NaN
+    anywhere shows in the report (and fails `passes`) instead of vanishing."""
+    herm, add, diag, sum_rule = [], [], [], []
     for _ in range(samples):
         a = random_homogeneous_event(rng)
         b = random_homogeneous_event(rng)
-        herm = max(herm, abs(ctx.decoherence(a, b) - ctx.decoherence(b, a).conjugate()))
+        herm.append(abs(ctx.decoherence(a, b) - ctx.decoherence(b, a).conjugate()))
         x, y, _ = random_disjoint_triple(rng)
         z = random_homogeneous_event(rng)
         lhs = ctx.decoherence(EventUnion((x, y)), z)
-        add = max(add, abs(lhs - ctx.decoherence(x, z) - ctx.decoherence(y, z)))
-        pos = min(pos, ctx.measure(a))
+        add.append(abs(lhs - ctx.decoherence(x, z) - ctx.decoherence(y, z)))
+        diag.append(ctx.measure(a))
     norm_res = abs(ctx.decoherence(HomogeneousEvent.everything(), HomogeneousEvent.everything()) - 1.0)
-    sum_rule = 0.0
     for _ in range(sum_rule_trials):
         a, b, c = random_disjoint_triple(rng)
         lhs = ctx.measure(EventUnion((a, b, c)))
@@ -539,12 +550,12 @@ def check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> Ax
             - ctx.measure(b)
             - ctx.measure(c)
         )
-        sum_rule = max(sum_rule, abs(lhs - rhs))
+        sum_rule.append(abs(lhs - rhs))
     return AxiomReport(
-        hermiticity=herm,
-        additivity=add,
-        positivity=pos,
+        hermiticity=float(np.max(herm, initial=0.0)),
+        additivity=float(np.max(add, initial=0.0)),
+        positivity=float(np.min(diag, initial=0.0)),
         normalisation=norm_res,
-        sum_rule=sum_rule,
+        sum_rule=float(np.max(sum_rule, initial=0.0)),
         samples=samples,
     )

@@ -118,6 +118,15 @@ def test_measure_check_rejects_bad_state(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["measure-check", "zero-scan"])
+def test_non_finite_state_file_exits_2(tmp_path, capsys, command):
+    state_file = tmp_path / "state.json"
+    state_file.write_text('{"pure": [[NaN, 0], [1, 0], [0, 0]]}')
+    code = main([command, "--state", str(state_file)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_measure_check_mixed_state_file(tmp_path, capsys):
     state_file = tmp_path / "state.json"
     state_file.write_text(
@@ -143,6 +152,9 @@ def test_zero_scan_default(capsys):
     assert report["zero_events"] == 505
     assert report["coverage"]["status"] == "covered"
     assert report["coverage"]["witness"]
+    norms = report["coverage"]["witness_norms"]
+    assert len(norms) == len(report["coverage"]["witness"])
+    assert all(0 <= n < report["threshold"] for n in norms)
     assert report["pks_only_coverage"] == "not-covered-within-scope"
 
 
@@ -166,6 +178,9 @@ def test_zero_scan_021_last(tmp_path, capsys):
 def test_zero_scan_budget_guard(capsys):
     code = main(["zero-scan", "--max-fixed", "12"])
     assert code == 2
+    code = main(["zero-scan", "--max-fixed", "1", "--budget", "-5"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_zero_scan_with_detector(capsys):

@@ -1,9 +1,11 @@
 """Zero-event scans, coverage verdicts, and the ordering search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_pure_state
+from conftest import random_mixed_state, random_ordering, random_pure_state
 from pkslab.colourings import gamma_p, gamma_p_prime
 from pkslab.explorer import (
     Provenance,
@@ -19,13 +21,73 @@ from pkslab.explorer import (
     scan_zero_events,
 )
 from pkslab.coevents import phi_m
-from pkslab.measure import Context, HomogeneousEvent, InitialState, Ordering
-from pkslab.rays import N_RAYS, ray_index, ray_permutations, symmetry_group
+from pkslab.measure import (
+    Context,
+    DetectedContext,
+    HomogeneousEvent,
+    InitialState,
+    Ordering,
+    random_homogeneous_event,
+)
+from pkslab.rays import (
+    N_RAYS,
+    PERES_RAYS,
+    are_orthogonal,
+    enumerate_bases,
+    ray_index,
+    ray_permutations,
+    symmetry_group,
+)
+from pkslab.spin import ray_projector
 
 # Frozen scan fixtures for the default context (listing order, middle
 # z-basis state, threshold 1e-10), from the independent brute-force scan.
 DEFAULT_ZEROS_MAX2 = 505
 DEFAULT_ZEROS_MAX3 = 13507
+
+
+# --- the per-event classifier, kept as the batch classifier's reference --------
+
+
+def reference_sector_chains(ctx, event):
+    """The (position, ray, green) chains whose states sum to the event's
+    measure: the event's own chain in a plain context; in a detected one, the
+    event with the detected ray fixed in each colour it allows."""
+    if isinstance(ctx, DetectedContext):
+        cuts = (event.with_fixed(ctx.detected_ray, green) for green in (False, True))
+        return [reference_sector_chains(ctx.base, cut)[0] for cut in cuts if cut is not None]
+    pos = ctx.ordering.position_of
+    return [sorted((pos(i), i, g) for i, g in event.fixed.items())]
+
+
+def has_adjacent_green_pair(chain) -> bool:
+    return any(
+        p2 == p1 + 1 and g1 and g2 and are_orthogonal(PERES_RAYS[i1], PERES_RAYS[i2])
+        for (p1, i1, g1), (p2, i2, g2) in zip(chain, chain[1:])
+    )
+
+
+def reference_classify(ctx, event) -> Provenance:
+    fixed = event.fixed
+    rays = tuple(sorted(fixed))
+    bases = {b.indices for b in enumerate_bases()}
+    if len(rays) == 3 and rays in bases and not any(fixed.values()):
+        return Provenance.PKS
+    if len(rays) == 2 and all(fixed.values()) and are_orthogonal(*(PERES_RAYS[i] for i in rays)):
+        return Provenance.PKS
+    chains = reference_sector_chains(ctx, event)
+    if all(has_adjacent_green_pair(chain) for chain in chains):
+        return Provenance.ACCIDENTAL_ADJACENT
+
+    def operator_vanishes(chain) -> bool:
+        op = np.eye(3, dtype=complex)
+        for _, i, g in chain:
+            op = ray_projector(i, g) @ op
+        return bool(np.linalg.norm(op) < ctx.threshold)
+
+    if all(operator_vanishes(chain) for chain in chains):
+        return Provenance.COARSE_GRAIN_COLLAPSE
+    return Provenance.SCAN
 
 
 def test_scan_counts_default_context(default_ctx):
@@ -84,6 +146,85 @@ def test_classification_examples(default_ctx):
     assert classify_zero_event(default_ctx, collapse) is Provenance.COARSE_GRAIN_COLLAPSE
     state_zero = HomogeneousEvent.from_fixed({ray_index("001"): False})
     assert classify_zero_event(default_ctx, state_zero) is Provenance.SCAN
+
+
+@pytest.mark.parametrize(
+    "detector, expected",
+    [
+        (None, {"scan": 10025, "pks": 88, "coarse-grain-collapse": 2653, "accidental-adjacent": 741}),
+        ("021", {"scan": 7959, "pks": 64, "coarse-grain-collapse": 1915, "accidental-adjacent": 741}),
+    ],
+)
+def test_depth3_provenance_split(default_ctx, detector, expected):
+    ctx = default_ctx
+    if detector is not None:
+        ctx = DetectedContext(ctx, ctx.ordering.position_of(ray_index(detector)) + 1)
+    assert provenance_counts(scan_zero_events(ctx, 3)) == expected
+
+
+@pytest.mark.slow
+def test_depth4_provenance_split(default_ctx):
+    records = scan_zero_events(default_ctx, 4)
+    assert len(records) == 241801
+    assert provenance_counts(records) == {
+        "scan": 158249, "pks": 88, "coarse-grain-collapse": 60644, "accidental-adjacent": 22820,
+    }
+
+
+def _classification_contexts():
+    rng = np.random.default_rng(20240901)
+    base = Context()
+    return {
+        "plain": base,
+        "detected-021": DetectedContext(base, base.ordering.position_of(ray_index("021")) + 1),
+        "random-mixed": Context(random_ordering(rng), random_mixed_state(rng)),
+        "random-mixed-detected": DetectedContext(
+            Context(random_ordering(rng), random_mixed_state(rng)), 20
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_classification_contexts()))
+def test_scan_provenance_matches_single_event_and_reference(name):
+    ctx = _classification_contexts()[name]
+    records = scan_zero_events(ctx, 2)
+    assert records
+    for rec in records:
+        assert classify_zero_event(ctx, rec.event) is rec.provenance
+        assert reference_classify(ctx, rec.event) is rec.provenance, rec.describe()
+
+
+def test_classify_random_events_matches_reference(rng):
+    """Events that need not be zero, including the empty one, through both
+    classifiers on plain and detected contexts."""
+    events = [HomogeneousEvent.everything()] + [
+        random_homogeneous_event(rng, max_fixed=5) for _ in range(150)
+    ]
+    for ctx in _classification_contexts().values():
+        for e in events:
+            assert classify_zero_event(ctx, e) is reference_classify(ctx, e), e.describe()
+
+
+def test_detector_keeps_the_adjacency_test(rng):
+    """Every sector chain of a detected context has a consecutive green
+    orthogonal pair exactly when the event's own chain has one: a detector
+    stage never sits between consecutive positions, and its red sector adds
+    no green pair.  Checked for every detector stage on every event with at
+    most two fixed rays, plus random larger events."""
+    base = Context()
+    events = [
+        HomogeneousEvent.from_fixed(dict(zip(rays, colours)))
+        for k in (1, 2)
+        for rays in itertools.combinations(range(N_RAYS), k)
+        for colours in itertools.product((False, True), repeat=k)
+    ] + [random_homogeneous_event(rng, max_fixed=6) for _ in range(200)]
+    own = [has_adjacent_green_pair(reference_sector_chains(base, e)[0]) for e in events]
+    assert any(own) and not all(own)
+    for position in range(1, N_RAYS + 1):
+        det = DetectedContext(base, position)
+        for e, has_pair in zip(events, own):
+            sectors = reference_sector_chains(det, e)
+            assert all(has_adjacent_green_pair(c) for c in sectors) == has_pair
 
 
 def test_coverage_default_context_found(default_ctx):
@@ -180,6 +321,8 @@ def test_scan_is_ordering_covariant_under_symmetry(rng):
 def test_ordering_search_budget_zero_is_empty():
     report = ordering_search(0, seed=5)
     assert report.candidates == ()
+    with pytest.raises(ValueError, match="non-negative"):
+        ordering_search(-5, seed=5)
 
 
 def test_ordering_search_deterministic_and_probe_covered():

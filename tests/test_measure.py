@@ -38,6 +38,15 @@ def test_state_validation():
         InitialState.pure([1.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         InitialState([(0.5, [1, 0, 0]), (0.6, [0, 1, 0])])
+    # non-finite input would otherwise pass the normalisation checks
+    for terms in (
+        [(1.0, [np.nan, 1.0, 0.0])],
+        [(1.0, [np.inf, 0.0, 0.0])],
+        [(np.nan, [1, 0, 0])],
+        [(0.5, [1, 0, 0]), (0.5, [0, complex(0, np.nan), 0])],
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            InitialState(terms)
     mixed = InitialState([(0.5, [1, 0, 0]), (0.5, [0, 1, 0])])
     assert not mixed.is_pure
 
@@ -123,6 +132,20 @@ def test_axioms_on_random_contexts(rng):
         ctx = Context(random_ordering(rng), state)
         report = check_axioms(ctx, rng, samples=40, sum_rule_trials=60)
         assert report.passes()
+
+
+def test_axiom_residuals_propagate_nan(rng):
+    class NanContext:
+        def decoherence(self, a, b):
+            return complex(np.nan, 0.0)
+
+        def measure(self, a):
+            return np.nan
+
+    report = check_axioms(NanContext(), rng, samples=5, sum_rule_trials=5)
+    for residual in ("hermiticity", "additivity", "positivity", "normalisation", "sum_rule"):
+        assert np.isnan(getattr(report, residual)), residual
+    assert not report.passes()
 
 
 def test_mixed_state_is_convex_combination(rng):
