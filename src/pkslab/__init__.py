@@ -50,6 +50,7 @@ from .measure import (
 from .explorer import (
     CoverageVerdict,
     ZeroEventRecord,
+    ZeroScan,
     coverage_check,
     last_ray_021_construction,
     ordering_search,

@@ -429,6 +429,9 @@ def cmd_lemma_fuzz(args) -> int:
     if not 2 <= args.max_n <= 12:
         print("error: --max-n must be in 2..12", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     failures = []
     for trial in range(args.trials):

@@ -14,6 +14,8 @@ evidence on, not a theorem it can decide.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -53,11 +55,98 @@ class ZeroEventRecord:
 # provenance code -> provenance; the enum order is also the precedence
 _PROVENANCES = tuple(Provenance)
 
-# Records are built from the scan's result arrays this many rows at a time:
-# converting whole columns to Python lists first would hold four list slots
-# per zero row next to the records (tracemalloc peak of the depth-4 default
-# scan 58.3 MB instead of 52.8 MB).
+# Iteration builds records and events this many rows at a time: converting
+# whole columns to Python lists first would hold four list slots per row
+# next to the objects.
 _RECORD_CHUNK = 8192
+
+
+def _column(values, dtype) -> np.ndarray:
+    """A read-only view of a column (the caller's array stays writable)."""
+    out = np.asarray(values, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
+
+
+class EventArray(Sequence):
+    """Homogeneous events held as green and red mask columns.
+
+    The masks are validated in bulk with the checks `HomogeneousEvent`
+    makes; events are built only on access, and each still goes through
+    the `HomogeneousEvent` constructor.
+    """
+
+    __slots__ = ("green", "red")
+
+    def __init__(self, green, red):
+        green, red = _column(green, np.int64), _column(red, np.int64)
+        if green.shape != red.shape:
+            raise ValueError("green and red mask columns differ in length")
+        if (green & red).any():
+            raise ValueError("a ray cannot be fixed both green and red")
+        if ((green | red) >> N_RAYS).any():
+            raise ValueError("fixed mask out of range")
+        self.green, self.red = green, red
+
+    @classmethod
+    def of(cls, events) -> "EventArray":
+        """The mask columns of any iterable of events or zero-event records;
+        an `EventArray` or a `ZeroScan` passes its columns straight through."""
+        if isinstance(events, ZeroScan):
+            return events.events
+        if isinstance(events, cls):
+            return events
+        events = [e.event if isinstance(e, ZeroEventRecord) else e for e in events]
+        return cls([e.green_mask for e in events], [e.red_mask for e in events])
+
+    def holds(self, c: Colouring) -> np.ndarray:
+        """Boolean column: which events contain the colouring."""
+        return ((self.green & ~c.bits) | (self.red & c.bits)) == 0
+
+    def __len__(self) -> int:
+        return self.green.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EventArray(self.green[i], self.red[i])
+        i = operator.index(i)
+        return HomogeneousEvent(int(self.green[i]), int(self.red[i]))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _RECORD_CHUNK):
+            rows = slice(lo, lo + _RECORD_CHUNK)
+            yield from map(HomogeneousEvent, self.green[rows].tolist(), self.red[rows].tolist())
+
+
+class ZeroScan(Sequence):
+    """The result of a zero scan: a read-only sequence of `ZeroEventRecord`s
+    held as columns in record order (`events` masks, float64 `norm`, int8
+    provenance `code` indexing `Provenance`).  Records are built on access."""
+
+    __slots__ = ("events", "norm", "code")
+
+    def __init__(self, green, red, norm, code):
+        self.events = EventArray(green, red)
+        self.norm, self.code = _column(norm, np.float64), _column(code, np.int8)
+        if not self.norm.shape == self.code.shape == self.events.green.shape:
+            raise ValueError("scan columns differ in length")
+        if ((self.code < 0) | (self.code >= len(_PROVENANCES))).any():
+            raise ValueError("provenance code out of range")
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ZeroScan(self.events.green[i], self.events.red[i], self.norm[i], self.code[i])
+        i = operator.index(i)
+        return ZeroEventRecord(self.events[i], float(self.norm[i]), _PROVENANCES[self.code[i]])
+
+    def __iter__(self):
+        for lo in range(0, len(self), _RECORD_CHUNK):
+            rows = slice(lo, lo + _RECORD_CHUNK)
+            for e, x, c in zip(self.events[rows], self.norm[rows].tolist(), self.code[rows].tolist()):
+                yield ZeroEventRecord(e, x, _PROVENANCES[c])
 
 
 @lru_cache(maxsize=1)
@@ -152,31 +241,21 @@ def _zero_rows(ctx, max_fixed: int) -> tuple[np.ndarray, ...]:
     return np.lexsort((red, green, n_fixed)), green, red, norm, code
 
 
-def scan_zero_events(ctx, max_fixed: int) -> tuple[ZeroEventRecord, ...]:
+def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     """All homogeneous events with at most `max_fixed` fixed rays whose norm
-    falls below the context threshold, in a deterministic order.  Accepts a
-    plain or a detected context."""
+    falls below the context threshold, in a deterministic order, as a lazy
+    sequence of records.  Accepts a plain or a detected context."""
     if not 1 <= max_fixed <= MAX_SCAN_FIXED:
         raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
     order, green, red, norm, code = _zero_rows(ctx, max_fixed)
-    records: list[ZeroEventRecord] = []
-    for lo in range(0, order.size, _RECORD_CHUNK):
-        rows = order[lo : lo + _RECORD_CHUNK]
-        records.extend(
-            ZeroEventRecord(HomogeneousEvent(g, r), x, _PROVENANCES[c])
-            for g, r, x, c in zip(
-                green[rows].tolist(), red[rows].tolist(),
-                norm[rows].tolist(), code[rows].tolist(),
-            )
-        )
-    return tuple(records)
+    return ZeroScan(green[order], red[order], norm[order], code[order])
 
 
-def provenance_counts(records) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for rec in records:
-        out[rec.provenance.value] = out.get(rec.provenance.value, 0) + 1
-    return out
+def provenance_counts(scan: ZeroScan) -> dict[str, int]:
+    """Records per provenance, keyed in order of first occurrence."""
+    counts = np.bincount(scan.code, minlength=len(_PROVENANCES))
+    present = sorted(np.flatnonzero(counts), key=lambda c: np.argmax(scan.code == c))
+    return {_PROVENANCES[c].value: int(counts[c]) for c in present}
 
 
 # --- coverage ------------------------------------------------------------------
@@ -212,21 +291,34 @@ def coverage_check(
     disjoint pairs splitting it.  For the two-element supports used here a
     covering disjoint family can always be thinned to at most two events,
     so the pair search is complete within the supplied zero list.
+
+    `zero_events` is any iterable of events or zero-event records; a
+    `ZeroScan` or `EventArray` is decided on its mask columns directly.
+    A holder of one colouring agrees with it on every ray it fixes, so two
+    holders of different colourings are disjoint exactly when both fix a
+    ray where the colourings disagree (the disagreement mask D; four rays
+    for {gamma_P, gamma_P'}).  Some holder of the second colouring is
+    disjoint from a holder of the first exactly when the first's fixed
+    rays in D meet the union of the second's: the witness is the first
+    such holder, paired with the first holder of the second colouring it
+    meets, as in a nested loop over both holder lists.
     """
     if len(support) > 2:
         raise ValueError("coverage search implemented for supports of size <= 2")
-    events = [e.event if isinstance(e, ZeroEventRecord) else e for e in zero_events]
-    holders = [
-        [e for e in events if e.contains(c)] for c in support
-    ]
-    for e in holders[0]:
-        if all(e.contains(c) for c in support):
-            return CoverageVerdict("covered", (e,), scope)
+    events = EventArray.of(zero_events)
+    held = [events.holds(c) for c in support]
+    both = np.flatnonzero(np.logical_and.reduce(held))
+    if both.size:
+        return CoverageVerdict("covered", (events[both[0]],), scope)
     if len(support) == 2:
-        for e1 in holders[0]:
-            for e2 in holders[1]:
-                if e1.is_disjoint_from(e2):
-                    return CoverageVerdict("covered", (e1, e2), scope)
+        disagree = support[0].bits ^ support[1].bits
+        fixed = (events.green | events.red) & disagree
+        rows0, rows1 = np.flatnonzero(held[0]), np.flatnonzero(held[1])
+        meets = np.flatnonzero(fixed[rows0] & np.bitwise_or.reduce(fixed[rows1]))
+        if meets.size:
+            i = rows0[meets[0]]
+            j = rows1[np.flatnonzero(fixed[rows1] & fixed[i])[0]]
+            return CoverageVerdict("covered", (events[i], events[j]), scope)
     return CoverageVerdict("not-covered-within-scope", None, scope)
 
 
@@ -326,17 +418,16 @@ def structural_threat_pairs(ctx: Context) -> list[tuple[HomogeneousEvent, Homoge
     return out
 
 
-def context_coverage(
-    ctx: Context, max_fixed: int, records=None
-) -> tuple[CoverageVerdict, tuple[ZeroEventRecord, ...]]:
+def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
     """Scan plus structural constructions, then the coverage decision."""
-    if records is None:
-        records = scan_zero_events(ctx, max_fixed)
-    events: list[HomogeneousEvent] = [rec.event for rec in records]
-    for e1, e2 in structural_threat_pairs(ctx):
-        events.extend([e1, e2])
+    scan = scan_zero_events(ctx, max_fixed)
+    built = EventArray.of(e for pair in structural_threat_pairs(ctx) for e in pair)
+    events = EventArray(
+        np.concatenate([scan.events.green, built.green]),
+        np.concatenate([scan.events.red, built.red]),
+    )
     scope = f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
-    return coverage_check(phi_m_support(), events, scope), records
+    return coverage_check(phi_m_support(), events, scope), scan
 
 
 # --- the ordering search ---------------------------------------------------------
@@ -436,7 +527,7 @@ def ordering_search(
 
     def examine(label: str, ordering: Ordering, state: InitialState, state_desc: str):
         ctx = Context(ordering, state, threshold)
-        verdict, records = context_coverage(ctx, scan_max_fixed)
+        verdict, scan = context_coverage(ctx, scan_max_fixed)
         if ordering.ray_at[-1] == ray_index("021"):
             # the final-stage construction always covers such orderings
             built = last_ray_021_construction(ctx)
@@ -444,13 +535,11 @@ def ordering_search(
                 verdict = CoverageVerdict(
                     "covered", (built.e1, built.e2), verdict.scope
                 )
-        holders = sum(
-            1 for rec in records if rec.event.contains(gp) or rec.event.contains(gpp)
-        )
+        holders = int(np.count_nonzero(scan.events.holds(gp) | scan.events.holds(gpp)))
         terms = tuple((w, tuple(complex(x) for x in v)) for w, v in state.terms)
         candidates.append(
             SearchCandidate(
-                label, ordering, state_desc, terms, verdict, len(records), holders
+                label, ordering, state_desc, terms, verdict, len(scan), holders
             )
         )
 

@@ -221,8 +221,8 @@ class Context:
     ):
         self.ordering = ordering or Ordering.default()
         self.state = state or InitialState.default()
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError("threshold must be positive and finite")
         self.threshold = float(threshold)
         # position of each ray in the chain, for collapsing free projectors
         self._position = {r: p for p, r in enumerate(self.ordering.ray_at)}
@@ -527,7 +527,11 @@ def check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> Ax
     """Residuals of the decoherence-functional axioms and of the three-set
     interference sum rule, over random homogeneous events.  Works on plain
     and detected contexts alike.  Residuals are aggregated so that a NaN
-    anywhere shows in the report (and fails `passes`) instead of vanishing."""
+    anywhere shows in the report (and fails `passes`) instead of vanishing.
+    At least one sample and one sum-rule trial are required: residuals over
+    no events would pass with no evidence."""
+    if samples < 1 or sum_rule_trials < 1:
+        raise ValueError("samples and sum_rule_trials must be at least 1")
     herm, add, diag, sum_rule = [], [], [], []
     for _ in range(samples):
         a = random_homogeneous_event(rng)

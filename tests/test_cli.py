@@ -1,9 +1,14 @@
 """The command-line surface: exit codes, formats, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pkslab
 from pkslab.cli import main
 
 
@@ -125,6 +130,32 @@ def test_non_finite_state_file_exits_2(tmp_path, capsys, command):
     code = main([command, "--state", str(state_file)])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["measure-check"], ["zero-scan", "--max-fixed", "1"]])
+@pytest.mark.parametrize("threshold", ["inf", "nan"])
+def test_non_finite_threshold_exits_2(capsys, argv, threshold):
+    # inf makes every event "zero" (a spurious cover); nan makes none zero
+    code = main([*argv, "--threshold", threshold])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_checks_without_samples_exit_2(capsys):
+    assert main(["measure-check", "--samples", "0"]) == 2
+    assert main(["lemma-fuzz", "--trials", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_python_m_pkslab_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(pkslab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pkslab", "geometry"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "rays: 33" in done.stdout
 
 
 def test_measure_check_mixed_state_file(tmp_path, capsys):

@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_state, random_ordering, random_pure_state
-from pkslab.colourings import gamma_p, gamma_p_prime
+from pkslab.colourings import gamma_p, gamma_p_prime, pks_events
+from pkslab import explorer
 from pkslab.explorer import (
+    EventArray,
     Provenance,
+    ZeroEventRecord,
+    ZeroScan,
     basis_gap_event,
     classify_zero_event,
     context_coverage,
     coverage_check,
     last_ray_021_construction,
+    maximally_mixed_state,
     ordering_search,
     phi_m_support,
     pks_only_coverage,
     provenance_counts,
     scan_zero_events,
+    structural_threat_pairs,
 )
 from pkslab.coevents import phi_m
 from pkslab.measure import (
@@ -393,3 +399,183 @@ def test_detected_scan_batch_agrees_with_scalar(default_ctx, rng):
         batch = det.batch_chain_norms(rays, greens)
         scalar = np.array([det.norm(e) for e in group])
         assert np.allclose(batch, scalar, atol=1e-12)
+
+
+# --- the columnar scan result ---------------------------------------------------
+
+
+def test_zero_scan_is_a_lazy_sequence(default_ctx):
+    scan = scan_zero_events(default_ctx, 2)
+    assert isinstance(scan, ZeroScan)
+    assert len(scan) == DEFAULT_ZEROS_MAX2
+    records = list(scan)
+    assert len(records) == len(scan)
+    assert records == [scan[i] for i in range(len(scan))]
+    assert scan[-1] == records[-1] and scan[-len(scan)] == records[0]
+    for bad in (len(scan), -len(scan) - 1):
+        with pytest.raises(IndexError):
+            scan[bad]
+    part = scan[10:40:3]
+    assert isinstance(part, ZeroScan)
+    assert list(part) == records[10:40:3]
+    assert tuple(scan[5:5]) == ()
+    assert list(scan.events) == [rec.event for rec in records]
+    assert scan.events[-2] == records[-2].event
+    rec = records[7]
+    assert isinstance(rec, ZeroEventRecord) and isinstance(rec.event, HomogeneousEvent)
+    assert type(rec.norm) is float and rec.provenance in Provenance
+    with pytest.raises(ValueError):
+        scan.norm[0] = 1.0  # the columns are read-only
+
+
+def test_zero_scan_iterates_across_record_chunks(default_ctx, monkeypatch):
+    scan = scan_zero_events(default_ctx, 2)
+    expected = [scan[i] for i in range(len(scan))]
+    monkeypatch.setattr(explorer, "_RECORD_CHUNK", 64)
+    assert list(scan) == expected
+    assert list(scan.events) == [rec.event for rec in expected]
+
+
+def test_bulk_mask_validation():
+    ok = EventArray([0b01, 0b100], [0b10, 0])
+    assert list(ok) == [HomogeneousEvent(0b01, 0b10), HomogeneousEvent(0b100, 0)]
+    with pytest.raises(ValueError, match="both green and red"):
+        EventArray([0b01, 0b110], [0b10, 0b100])
+    for green, red in (([1 << N_RAYS], [0]), ([0], [1 << (N_RAYS + 5)]), ([-1], [0])):
+        with pytest.raises(ValueError, match="out of range"):
+            EventArray(green, red)
+    with pytest.raises(ValueError, match="both green and red"):
+        ZeroScan([0, 0b11], [0, 0b01], [0.0, 0.0], [3, 3])
+    with pytest.raises(ValueError, match="out of range"):
+        ZeroScan([1 << N_RAYS], [0], [0.0], [3])
+    with pytest.raises(ValueError, match="provenance code"):
+        ZeroScan([1], [0], [0.0], [len(Provenance)])
+    with pytest.raises(ValueError, match="differ in length"):
+        ZeroScan([1, 2], [0, 0], [0.0], [3, 3])
+    # the caller's arrays are not frozen by the views the scan keeps
+    green = np.array([1, 2], dtype=np.int64)
+    EventArray(green, np.zeros(2, dtype=np.int64))
+    green[0] = 4
+
+
+def _provenance_contexts():
+    rng = np.random.default_rng(20240902)
+    base = Context()
+    return {
+        "default": base,
+        "detected-021": DetectedContext(base, base.ordering.position_of(ray_index("021")) + 1),
+        "random-mixed": Context(random_ordering(rng), random_mixed_state(rng)),
+    }
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("name", list(_provenance_contexts()))
+def test_provenance_counts_match_the_record_fold(name, depth):
+    scan = scan_zero_events(_provenance_contexts()[name], depth)
+    fold: dict[str, int] = {}
+    for rec in scan:
+        fold[rec.provenance.value] = fold.get(rec.provenance.value, 0) + 1
+    counts = provenance_counts(scan)
+    assert counts == fold
+    assert list(counts) == list(fold)  # the CLI prints this dict: key order matters
+
+
+def reference_coverage(support, events, scope):
+    """The nested holder loop the mask-column decision replaced."""
+    events = [e.event if isinstance(e, ZeroEventRecord) else e for e in events]
+    holders = [[e for e in events if e.contains(c)] for c in support]
+    for e in holders[0]:
+        if all(e.contains(c) for c in support):
+            return explorer.CoverageVerdict("covered", (e,), scope)
+    if len(support) == 2:
+        for e1 in holders[0]:
+            for e2 in holders[1]:
+                if e1.is_disjoint_from(e2):
+                    return explorer.CoverageVerdict("covered", (e1, e2), scope)
+    return explorer.CoverageVerdict("not-covered-within-scope", None, scope)
+
+
+def _coverage_cases():
+    rng = np.random.default_rng(20240901)
+    cases = {
+        "default": Context(),
+        "probe-021-last": Context(Ordering.default().with_ray_last(ray_index("021"))),
+    }
+    for i in range(8):
+        cases[f"mixed-random-{i}"] = Context(random_ordering(rng), maximally_mixed_state())
+    return cases
+
+
+def test_coverage_matches_the_pair_loop_reference():
+    support = phi_m_support()
+    statuses = set()
+    for name, ctx in _coverage_cases().items():
+        scan = scan_zero_events(ctx, 2)
+        events = list(scan.events) + [e for pair in structural_threat_pairs(ctx) for e in pair]
+        want = reference_coverage(support, events, "s")
+        assert coverage_check(support, events, "s") == want, name
+        verdict, _ = context_coverage(ctx, 2)
+        assert (verdict.status, verdict.witness) == (want.status, want.witness), name
+        # records, an event-array sequence and a scan decide alike
+        assert coverage_check(support, list(scan), "s") == reference_coverage(support, scan, "s")
+        assert coverage_check(support, scan, "s") == coverage_check(support, scan.events, "s")
+        for one in support:
+            assert coverage_check((one,), scan, "s") == reference_coverage((one,), scan, "s")
+        statuses.add(want.status)
+    assert statuses == {"covered", "not-covered-within-scope"}
+
+
+def _support_holder_events(rng, n):
+    """Events agreeing with one support colouring on a few rays, mostly
+    including a ray where the two disagree, plus a few random events."""
+    support = phi_m_support()
+    disagree = [i for i in range(N_RAYS) if support[0].is_green(i) != support[1].is_green(i)]
+    events = []
+    for _ in range(n):
+        rays = {int(x) for x in rng.choice(N_RAYS, size=int(rng.integers(1, 5)), replace=False)}
+        if rng.random() < 0.9:
+            rays.add(int(rng.choice(disagree)))
+        events.append(HomogeneousEvent.agreeing_with(support[int(rng.integers(2))], rays))
+    return events + [random_homogeneous_event(rng, max_fixed=5) for _ in range(n // 8)]
+
+
+def test_coverage_witness_order_matches_reference(rng):
+    """Many holders of each colouring, in many orders: single covers, pair
+    covers and no cover all occur, and the first witness must match."""
+    support = phi_m_support()
+    kinds = set()
+    for _ in range(60):
+        events = _support_holder_events(rng, int(rng.integers(2, 12)))
+        for sup in (support, support[::-1]):
+            want = reference_coverage(sup, events, "r")
+            assert coverage_check(sup, events, "r") == want
+            kinds.add(len(want.witness) if want.covered else 0)
+    assert kinds == {0, 1, 2}
+
+
+def test_coverage_empty_and_preclusion_family():
+    support = phi_m_support()
+    assert coverage_check(support, [], "e") == reference_coverage(support, [], "e")
+    pks = [HomogeneousEvent.from_pks(e) for e in pks_events()]
+    want = reference_coverage(support, pks, "preclusion family only")
+    assert pks_only_coverage() == want
+    assert not want.covered
+
+
+def test_coverage_makes_no_records(monkeypatch):
+    """The scan's records are never built on the way to a verdict."""
+    built = []
+    original = ZeroEventRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ZeroEventRecord, "__init__", counting_init)
+    verdict, scan = context_coverage(Context(), 3)
+    assert verdict.covered and len(scan) == DEFAULT_ZEROS_MAX3
+    report = ordering_search(3, scan_max_fixed=2, strategy="structural")
+    assert len(report.candidates) == 3
+    assert built == []
+    scan[0]  # the counter does see a record built on access
+    assert built == [1]

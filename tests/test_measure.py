@@ -148,6 +148,18 @@ def test_axiom_residuals_propagate_nan(rng):
     assert not report.passes()
 
 
+def test_axioms_require_samples(default_ctx, rng):
+    for samples, trials in ((0, 5), (5, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_axioms(default_ctx, rng, samples=samples, sum_rule_trials=trials)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e-10, float("inf"), float("nan")])
+def test_context_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Context(threshold=threshold)
+
+
 def test_mixed_state_is_convex_combination(rng):
     ordering = random_ordering(rng)
     s1, s2 = random_pure_state(rng), random_pure_state(rng)
