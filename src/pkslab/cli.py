@@ -370,6 +370,10 @@ def cmd_zero_scan(args) -> int:
             "witness_norms": [ctx.norm(e) for e in verdict.witness] if verdict.witness else None,
         },
         "pks_only_coverage": pks_baseline.status,
+        "norm_margin": {
+            "max_zero": float(records.norm.max()) if len(records) else None,
+            "min_nonzero": records.min_rejected if np.isfinite(records.min_rejected) else None,
+        },
     }
     lines = [
         f"zero events with <= {args.max_fixed} fixed rays: {len(records)}"

@@ -14,6 +14,7 @@ evidence on, not a theorem it can decide.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ from .colourings import (
     gamma_p_prime,
     pks_events,
 )
-from .measure import Context, HomogeneousEvent, InitialState, Ordering
+from . import spin
+from .measure import Context, DetectedContext, HomogeneousEvent, InitialState, Ordering
 from .rays import N_RAYS, PERES_RAYS, are_orthogonal, enumerate_bases, ray_index
 
 MAX_SCAN_FIXED = 8
@@ -121,12 +123,15 @@ class EventArray(Sequence):
 class ZeroScan(Sequence):
     """The result of a zero scan: a read-only sequence of `ZeroEventRecord`s
     held as columns in record order (`events` masks, float64 `norm`, int8
-    provenance `code` indexing `Provenance`).  Records are built on access."""
+    provenance `code` indexing `Provenance`), plus `min_rejected`, the
+    smallest norm the scan found at or above the threshold (inf if none).
+    Records are built on access."""
 
-    __slots__ = ("events", "norm", "code")
+    __slots__ = ("events", "norm", "code", "min_rejected")
 
-    def __init__(self, green, red, norm, code):
+    def __init__(self, green, red, norm, code, min_rejected: float = math.inf):
         self.events = EventArray(green, red)
+        self.min_rejected = float(min_rejected)
         self.norm, self.code = _column(norm, np.float64), _column(code, np.int8)
         if not self.norm.shape == self.code.shape == self.events.green.shape:
             raise ValueError("scan columns differ in length")
@@ -138,7 +143,8 @@ class ZeroScan(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ZeroScan(self.events.green[i], self.events.red[i], self.norm[i], self.code[i])
+            columns = (self.events.green, self.events.red, self.norm, self.code)
+            return ZeroScan(*(c[i] for c in columns), self.min_rejected)
         i = operator.index(i)
         return ZeroEventRecord(self.events[i], float(self.norm[i]), _PROVENANCES[self.code[i]])
 
@@ -163,20 +169,70 @@ def _ray_tables() -> tuple[np.ndarray, np.ndarray]:
     return orth, basis
 
 
-def _classify(ctx, position: np.ndarray, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
+class _Chains:
+    """Projector chains of one context, stepped in the real Cartesian picture.
+
+    A chain state is an array (rows, sectors, slots, 3): the initial state as
+    real slots sqrt(w) Re and sqrt(w) Im of T^dagger psi per term (T =
+    `spin.CART_TO_Z`, zero parts dropped), an operator product as the three
+    identity columns.  A ray's green projector is u u^T and its red one
+    I - u u^T, so a step is v -> u (u.v) or v - u (u.v).  A detector at stage
+    d splits the slots into a red and a green sector when an extension jumps
+    over d; an event fixing the detected ray never splits."""
+
+    def __init__(self, ctx):
+        self.ray_at = np.array(ctx.ordering.ray_at)
+        self.u = spin.ray_directions()[self.ray_at]  # by position
+        self.cut = ctx.position - 1 if isinstance(ctx, DetectedContext) else None
+        terms = np.array([np.sqrt(w) * psi @ spin.CART_TO_Z.conj() for w, psi in ctx.state.terms])
+        slots = np.concatenate([terms.real, terms.imag])
+        self.state, self.op = (
+            np.stack([x, 0 * x][: 1 if self.cut is None else 2])[None]
+            for x in (slots[slots.any(axis=1)], np.eye(3))
+        )
+
+    def _split(self, v: np.ndarray, last: np.ndarray, upto) -> np.ndarray:
+        """Split into the two sectors the slots of the chains that end before
+        the detector (at `last`) and are extended past it (to `upto`)."""
+        rows = self.cut is not None and (last < self.cut) & (upto > self.cut)
+        if not np.any(rows):
+            return v
+        v, d = v.copy(), self.u[self.cut]
+        v[rows, 1] = (v[rows, 0] @ d)[..., None] * d
+        v[rows, 0] -= v[rows, 1]
+        return v
+
+    def step(self, v, last, p, green) -> np.ndarray:
+        """Extend chain states `v`, ending at positions `last`, by the
+        projectors at positions `p` in colours `green`."""
+        v = self._split(v, last, p)
+        u = self.u[p][:, None, None, :]
+        along = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))[..., None] * u
+        return np.where(green[:, None, None, None], along, v - along)
+
+    def op_norms(self, op, last) -> np.ndarray:
+        """The largest sector Frobenius norm of operator products: below the
+        threshold only if every sector vanishes.  A chain ending before the
+        detector splits after its last stage."""
+        op = self._split(op, last, N_RAYS)
+        return np.sqrt(np.einsum("nsij,nsij->ns", op, op).max(axis=1))
+
+
+def _classify(chains: _Chains, pos, greens, collapse) -> np.ndarray:
     """Why is each of these events' state zero?  Codes index `_PROVENANCES`.
 
-    `rays` and boolean `greens` have shape (n, k) in chain order, as for
-    `batch_chain_norms`; `position` maps ray index to chain position.
+    `pos` and boolean `greens` have shape (n, k) in chain order (ascending
+    position); boolean `collapse` marks operator norms below the threshold.
     Exact preclusion patterns rank first; then a green-green orthogonal
     pair at consecutive stages; then a projector chain whose product
     vanishes once the free stages are summed out (for a detected context,
-    every surviving sector chain must vanish); the rest are zeros of this
-    particular initial state.  A detector never sits between consecutive
-    stages and its red sector adds no green pair, so the adjacency test on
-    the event's own chain decides every sector chain of a detected context.
+    every sector must vanish); the rest are zeros of this particular
+    initial state.  A detector never sits between consecutive stages and
+    its red sector adds no green pair, so the adjacency test on the event's
+    own chain decides every sector of a detected context.
     """
     orth, basis = _ray_tables()
+    rays = chains.ray_at[pos]
     n, k = rays.shape
     if k == 3:
         pks = basis[rays[:, 0], rays[:, 1], rays[:, 2]] & ~greens.any(axis=1)
@@ -184,71 +240,93 @@ def _classify(ctx, position: np.ndarray, rays: np.ndarray, greens: np.ndarray) -
         pks = orth[rays[:, 0], rays[:, 1]] & greens.all(axis=1)
     else:
         pks = np.zeros(n, dtype=bool)
-    pos = position[rays]
-    adjacent = (
-        (pos[:, 1:] == pos[:, :-1] + 1)
-        & greens[:, 1:]
-        & greens[:, :-1]
-        & orth[rays[:, :-1], rays[:, 1:]]
-    ).any(axis=1)
-    rest = ~(pks | adjacent)
-    collapse = np.zeros(n, dtype=bool)
-    if rest.any():
-        collapse[rest] = ctx.batch_operator_norms(rays[rest], greens[rest]) < ctx.threshold
+    consecutive = (pos[:, 1:] == pos[:, :-1] + 1) & greens[:, 1:] & greens[:, :-1]
+    adjacent = (consecutive & orth[rays[:, :-1], rays[:, 1:]]).any(axis=1)
     # int8 codes: a scan keeps one per zero row until its records are built
     return np.select([pks, adjacent, collapse], [0, 1, 2], default=3).astype(np.int8)
 
 
 def classify_zero_event(ctx, event: HomogeneousEvent) -> Provenance:
-    """Why is this event's state zero?  One event through the scan's batch
+    """Why is this event's state zero?  One event through the scan's
     classifier (see `_classify` for the precedence)."""
-    position = ctx.ordering.positions()
-    steps = sorted(event.fixed.items(), key=lambda step: position[step[0]])
-    rays = np.array([i for i, _ in steps], dtype=int).reshape(1, -1)
-    greens = np.array([g for _, g in steps], dtype=bool).reshape(1, -1)
-    return _PROVENANCES[_classify(ctx, position, rays, greens)[0]]
+    chains = _Chains(ctx)
+    pos = np.sort(ctx.ordering.positions()[list(event.fixed)]).reshape(1, -1)
+    greens = (event.green_mask >> chains.ray_at[pos] & 1).astype(bool)
+    op, last = chains.op, np.full(1, -1)
+    for p, green in zip(pos.T, greens.T):
+        op, last = chains.step(op, last, p, green), p
+    return _PROVENANCES[_classify(chains, pos, greens, chains.op_norms(op, last) < ctx.threshold)[0]]
 
 
-def _zero_rows(ctx, max_fixed: int) -> tuple[np.ndarray, ...]:
-    """Record order, green masks, red masks, norms and provenance codes of
-    every zero event with 1..max_fixed fixed rays, as arrays.  Record order
-    sorts by number of fixed rays, then green mask, then red mask.
+# Children of one level are built about this many rows at a time.
+_BLOCK = 32768
 
-    Kept apart from the record build, so that the per-batch arrays are
-    freed before the records exist; both peak at depth 4."""
-    position = ctx.ordering.positions()
-    batches = []  # per (k, pattern): n_fixed, green, red, norm, code of its zero rows
+
+def _children(last: np.ndarray):
+    """The children of a level whose rows end at positions `last`, in
+    blocks of about `_BLOCK` rows: (parent row, new later position, green)."""
+    width = N_RAYS - 1 - last  # later positions per parent
+    start = np.cumsum(width) - width  # offset of each parent's first child
+    lo = 0
+    while lo < len(last):
+        hi = int(np.searchsorted(start, start[lo] + _BLOCK // 2, "right"))
+        par = np.repeat(np.arange(lo, hi), width[lo:hi])
+        p = last[par] + 1 + np.arange(par.size) - (start[par] - start[lo])
+        yield np.tile(par, 2), np.tile(p, 2), np.arange(2 * par.size) >= par.size
+        lo = hi
+
+
+def _zero_rows(ctx, max_fixed: int) -> tuple:
+    """Record order (by number of fixed rays, green mask, red mask), green
+    masks, red masks, norms and provenance codes of every zero event with
+    1..max_fixed fixed rays, and the smallest rejected norm.
+
+    The events with k fixed rays are the children of level k-1: a parent row
+    extended by one later position in either colour, its state one projector
+    step from the parent's stored state.  A level keeps int8 chain
+    positions, colour masks, states and operator products; the last level
+    keeps only its zero rows."""
+    chains = _Chains(ctx)
+    pos, green, red = np.zeros((1, 0), dtype=np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    state, op = chains.state, chains.op
+    zeros, min_rejected = [], math.inf  # per block: n_fixed, green, red, norm, code of zero rows
     for k in range(1, max_fixed + 1):
-        combos = np.array(list(itertools.combinations(range(N_RAYS), k)), dtype=int)
-        order = np.argsort(position[combos], axis=1)
-        chains = np.take_along_axis(combos, order, axis=1)
-        ray_bits = np.int64(1) << combos
-        for pattern in range(1 << k):
-            # pattern bit j = colour of the j-th ray of the combo (1 = green)
-            bit = np.array([(pattern >> j) & 1 for j in range(k)], dtype=bool)
-            greens = np.take_along_axis(np.broadcast_to(bit, combos.shape), order, axis=1)
-            norms = ctx.batch_chain_norms(chains, greens)
-            zero = np.nonzero(norms < ctx.threshold)[0]
-            bits = ray_bits[zero]
-            batches.append((
-                np.full(zero.size, k, dtype=np.int8),
-                bits[:, bit].sum(axis=1),
-                bits[:, ~bit].sum(axis=1),
-                norms[zero],
-                _classify(ctx, position, chains[zero], greens[zero]),
-            ))
-    n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*batches))
-    return np.lexsort((red, green, n_fixed)), green, red, norm, code
+        last = pos[:, -1].astype(int) if k > 1 else np.full(1, -1)
+        level = []
+        for par, p, g in _children(last):
+            child = chains.step(state[par], last[par], p, g)
+            norm = np.sqrt(np.einsum("nsij,nsij->n", child, child))
+            if not np.isfinite(norm).all():
+                raise ValueError("non-finite norm in the scan: no verdict can rest on it")
+            z = np.flatnonzero(norm < ctx.threshold)
+            min_rejected = min(min_rejected, np.delete(norm, z).min(initial=math.inf))
+            bit = np.int64(1) << chains.ray_at[p]
+            c_pos = np.column_stack([pos[par], p]).astype(np.int8)
+            c_green, c_red = green[par] | np.where(g, bit, 0), red[par] | np.where(g, 0, bit)
+            if k < max_fixed:
+                level.append((c_pos, c_green, c_red, child, chains.step(op[par], last[par], p, g)))
+            greens = (c_green[z, None] >> chains.ray_at[c_pos[z]] & 1).astype(bool)
+            op_norm = chains.op_norms(chains.step(op[par[z]], last[par[z]], p[z], g[z]), p[z])
+            code = _classify(chains, c_pos[z], greens, op_norm < ctx.threshold)
+            zeros.append((np.full(z.size, k, np.int8), c_green[z], c_red[z], norm[z], code))
+        if level:
+            pos, green, red, state, op = (np.concatenate(c) for c in zip(*level))
+    del pos, green, red, state, op  # the stored level, before the zero rows are joined
+    n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
+    return np.lexsort((red, green, n_fixed)), green, red, norm, code, float(min_rejected)
 
 
 def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     """All homogeneous events with at most `max_fixed` fixed rays whose norm
     falls below the context threshold, in a deterministic order, as a lazy
-    sequence of records.  Accepts a plain or a detected context."""
+    sequence of records.  Accepts a plain or a detected context.  Raises
+    `ValueError` if any scanned norm is non-finite: no verdict rests on it."""
     if not 1 <= max_fixed <= MAX_SCAN_FIXED:
         raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
-    order, green, red, norm, code = _zero_rows(ctx, max_fixed)
-    return ZeroScan(green[order], red[order], norm[order], code[order])
+    order, *columns, min_rejected = _zero_rows(ctx, max_fixed)
+    for i in range(len(columns)):  # one unsorted column at a time stays alive
+        columns[i] = columns[i][order]
+    return ZeroScan(*columns, min_rejected)
 
 
 def provenance_counts(scan: ZeroScan) -> dict[str, int]:

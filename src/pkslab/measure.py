@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -137,11 +136,13 @@ class HomogeneousEvent:
 
     @property
     def fixed(self) -> dict[int, bool]:
-        return {
-            i: bool(self.green_mask >> i & 1)
-            for i in range(N_RAYS)
-            if self.fixed_mask >> i & 1
-        }
+        """Fixed ray -> colour (True is green), in ascending ray order."""
+        out, mask = {}, self.green_mask | self.red_mask
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] = bool(self.green_mask & low)
+            mask ^= low
+        return out
 
     @property
     def n_fixed(self) -> int:
@@ -207,7 +208,21 @@ def as_union(event) -> EventUnion:
     raise TypeError(f"cannot interpret {event!r} as an event")
 
 
-class Context:
+class _Functional:
+    """Measure, norm and zero test from a `decoherence(a, b)` method."""
+
+    def measure(self, a) -> float:
+        return float(self.decoherence(a, a).real)
+
+    def norm(self, a) -> float:
+        """Square root of the measure (the event-state norm for a pure state)."""
+        return float(np.sqrt(max(self.measure(a), 0.0)))
+
+    def is_zero(self, a) -> bool:
+        return self.norm(a) < self.threshold
+
+
+class Context(_Functional):
     """A decoherence functional: an ordering of the rays plus an initial state.
 
     Pure and immutable; evaluations are safe to run concurrently.
@@ -249,10 +264,7 @@ class Context:
         return v
 
     def _union_state(self, union: EventUnion, psi: np.ndarray) -> np.ndarray:
-        total = np.zeros(3, dtype=complex)
-        for e in union.members:
-            total += self.event_state(e, psi)
-        return total
+        return sum((self.event_state(e, psi) for e in union.members), np.zeros(3, dtype=complex))
 
     # -- the functional ---------------------------------------------------------
 
@@ -262,59 +274,6 @@ class Context:
         for w, psi in self.state.terms:
             out += w * np.vdot(self._union_state(ua, psi), self._union_state(ub, psi))
         return complex(out)
-
-    def measure(self, a) -> float:
-        return float(self.decoherence(a, a).real)
-
-    def norm(self, a) -> float:
-        """Square root of the measure (the event-state norm for a pure state)."""
-        return float(np.sqrt(max(self.measure(a), 0.0)))
-
-    def is_zero(self, a) -> bool:
-        return self.norm(a) < self.threshold
-
-    # -- batch evaluation --------------------------------------------------------
-
-    def batch_chain_norms(
-        self, rays: np.ndarray, greens: np.ndarray, chunk: int = 65536
-    ) -> np.ndarray:
-        """Norms for many fixed-projector chains at once.
-
-        `rays` and `greens` have shape (n, k); column order is chain order
-        (ascending position).  Returns sqrt of the measure of each event.
-        """
-        from .spin import _ray_projectors
-
-        projs = _ray_projectors()
-        n, k = rays.shape
-        out = np.zeros(n)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            r = rays[lo:hi]
-            g = greens[lo:hi].astype(int)
-            acc = np.zeros(hi - lo)
-            for w, psi in self.state.terms:
-                v = np.broadcast_to(psi, (hi - lo, 3)).copy()
-                for step in range(k):
-                    mats = projs[r[:, step], 1 - g[:, step]]
-                    v = np.einsum("nij,nj->ni", mats, v)
-                acc += w * np.einsum("ni,ni->n", v.conj(), v).real
-            out[lo:hi] = np.sqrt(np.maximum(acc, 0.0))
-        return out
-
-    def batch_operator_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
-        """Frobenius norms of the projector products of many chains, laid out
-        as for `batch_chain_norms`.  A norm below the threshold means the
-        event is zero for every initial state."""
-        from .spin import _ray_projectors
-
-        projs = _ray_projectors()
-        n, k = rays.shape
-        g = greens.astype(int)
-        op = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
-        for step in range(k):
-            op = np.einsum("nij,njk->nik", projs[rays[:, step], 1 - g[:, step]], op)
-        return np.linalg.norm(op, axis=(1, 2))
 
 
 def truncated_path_states(
@@ -401,7 +360,7 @@ def verify_pks_zero(ctx: Context, rng=None, union_samples: int = 25) -> PksZeroR
     return PksZeroReport(tuple(entries), tuple(unions), ctx.threshold)
 
 
-class DetectedContext:
+class DetectedContext(_Functional):
     """The measure after inserting detectors in both beams of one stage.
 
     Coherence between the green and red sectors of the detected ray is
@@ -420,64 +379,13 @@ class DetectedContext:
         self.threshold = base.threshold
 
     def _sector(self, union: EventUnion, green: bool) -> EventUnion:
-        members = []
-        for e in union.members:
-            cut = e.with_fixed(self.detected_ray, green)
-            if cut is not None:
-                members.append(cut)
-        return EventUnion(tuple(members))
+        cuts = (e.with_fixed(self.detected_ray, green) for e in union.members)
+        return EventUnion(tuple(e for e in cuts if e is not None))
 
     def decoherence(self, a, b) -> complex:
         ua, ub = as_union(a), as_union(b)
-        out = 0j
-        for green in (False, True):
-            out += self.base.decoherence(self._sector(ua, green), self._sector(ub, green))
-        return complex(out)
-
-    def measure(self, a) -> float:
-        return float(self.decoherence(a, a).real)
-
-    def norm(self, a) -> float:
-        return float(np.sqrt(max(self.measure(a), 0.0)))
-
-    def is_zero(self, a) -> bool:
-        return self.norm(a) < self.threshold
-
-    def _over_sectors(self, base_fn, rays, greens, combine) -> np.ndarray:
-        """Evaluate `base_fn` on many chains: events fixing the detected ray
-        keep their base value; for the rest the detector stage is spliced into
-        each chain at its position and the two sector values are combined."""
-        n, k = rays.shape
-        out = np.empty(n)
-        fixes = (rays == self.detected_ray).any(axis=1)
-        if fixes.any():
-            out[fixes] = base_fn(rays[fixes], greens[fixes])
-        free = ~fixes
-        if free.any():
-            r = rays[free]
-            insert_at = (self.ordering.positions()[r] < self.position - 1).sum(axis=1)
-            at_det = np.arange(k + 1)[None, :] == insert_at[:, None]
-            new_r = np.full(at_det.shape, self.detected_ray)
-            new_r[~at_det] = r.ravel()
-            new_g = np.zeros(at_det.shape, dtype=int)
-            new_g[~at_det] = greens[free].ravel()
-            sectors = []
-            for colour in (0, 1):
-                new_g[at_det] = colour
-                sectors.append(base_fn(new_r, new_g))
-            out[free] = combine(*sectors)
-        return out
-
-    def batch_chain_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
-        """Detected-measure norms for many chains: both sector measures summed."""
-        return self._over_sectors(
-            self.base.batch_chain_norms, rays, greens, lambda a, b: np.sqrt(a**2 + b**2)
-        )
-
-    def batch_operator_norms(self, rays: np.ndarray, greens: np.ndarray) -> np.ndarray:
-        """The larger Frobenius norm of the surviving sector chains' projector
-        products: below the threshold only if every sector vanishes."""
-        return self._over_sectors(self.base.batch_operator_norms, rays, greens, np.maximum)
+        sectors = [(self._sector(ua, g), self._sector(ub, g)) for g in (False, True)]
+        return complex(sum((self.base.decoherence(x, y) for x, y in sectors), 0j))
 
 
 def insert_detector(ctx: Context, position: int) -> DetectedContext:

@@ -24,6 +24,10 @@ S_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 IDENTITY3 = np.eye(3, dtype=complex)
 
+# Rows are the z-basis components of the spherical vectors e_{+1}, e_0, e_{-1}:
+# an operator P in the Cartesian picture is T P T^dagger in the z-basis.
+CART_TO_Z = np.array([[-1, 1j, 0], [0, 0, SQRT2], [1, 1j, 0]]) / SQRT2
+
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return S_X.copy(), S_Y.copy(), S_Z.copy()
@@ -75,6 +79,13 @@ def _ray_projectors() -> np.ndarray:
         out[i, 0] = projector(u, 0)
         out[i, 1] = projector(u, 1)
     return out
+
+
+@lru_cache(maxsize=1)
+def ray_directions() -> np.ndarray:
+    """Array of shape (33, 3): the real unit direction u of each ray.  In the
+    Cartesian picture its green projector is u u^T and its red one I - u u^T."""
+    return np.array([direction_from_ray(ray) for ray in PERES_RAYS])
 
 
 def ray_projector(index: int, green: bool) -> np.ndarray:

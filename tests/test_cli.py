@@ -189,6 +189,18 @@ def test_zero_scan_default(capsys):
     assert report["pks_only_coverage"] == "not-covered-within-scope"
 
 
+def test_zero_scan_reports_norm_margin(capsys):
+    for depth, min_nonzero in (("3", 7.58e-3), ("4", 1.11e-3)):
+        code, report = run_json(capsys, "zero-scan", "--max-fixed", depth)
+        assert code == 0
+        margin = report["norm_margin"]
+        assert margin["max_zero"] < 1e-14
+        assert margin["min_nonzero"] == pytest.approx(min_nonzero, rel=1e-3)
+    # the margin is a measurement: it stays out of the text and the config hash
+    code, text = run(capsys, "zero-scan", "--max-fixed", "4")
+    assert code == 0 and "margin" not in text and "e-03" not in text
+
+
 def test_zero_scan_021_last(tmp_path, capsys):
     from pkslab.measure import Ordering
     from pkslab.rays import ray_index

@@ -1,6 +1,7 @@
 """Zero-event scans, coverage verdicts, and the ordering search."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -387,18 +388,108 @@ def test_detected_scan_and_coverage(default_ctx):
         assert det.norm(e) < det.threshold
 
 
-def test_detected_scan_batch_agrees_with_scalar(default_ctx, rng):
-    from pkslab.measure import insert_detector, random_homogeneous_event
+def level_norms(ctx, events, max_fixed=4):
+    """The scan's norms for the events: under a threshold above every norm
+    the level-wise evaluator keeps every event it walks, zero or not."""
+    base = getattr(ctx, "base", ctx)
+    wide = Context(base.ordering, base.state, threshold=10.0)
+    if isinstance(ctx, DetectedContext):
+        wide = DetectedContext(wide, ctx.position)
+    scan = scan_zero_events(wide, max_fixed)
+    assert len(scan) == sum(math.comb(N_RAYS, k) << k for k in range(1, max_fixed + 1))
+    green, red = scan.events.green, scan.events.red
+    rows = [np.flatnonzero((green == e.green_mask) & (red == e.red_mask)) for e in events]
+    assert all(len(r) == 1 for r in rows)
+    return scan.norm[np.concatenate(rows)]
 
-    det = insert_detector(default_ctx, 12)
-    events = [random_homogeneous_event(rng, max_fixed=4) for _ in range(80)]
-    for size in {e.n_fixed for e in events}:
-        group = [e for e in events if e.n_fixed == size]
-        rays = np.array([[r for r, _ in default_ctx._chain(e)] for e in group])
-        greens = np.array([[g for _, g in default_ctx._chain(e)] for e in group])
-        batch = det.batch_chain_norms(rays, greens)
-        scalar = np.array([det.norm(e) for e in group])
-        assert np.allclose(batch, scalar, atol=1e-12)
+
+def _norm_check_events(ctx, rng, n):
+    """Random events with up to four fixed rays plus a sample of the
+    context's zero events, so that both sides of the threshold occur."""
+    zeros = scan_zero_events(ctx, 4)
+    picks = rng.choice(len(zeros), size=n // 4, replace=False)
+    return [random_homogeneous_event(rng, max_fixed=4) for _ in range(n)] + [
+        zeros.events[int(i)] for i in picks
+    ]
+
+
+def _assert_level_norms_match_scalar(ctx, events):
+    levels = level_norms(ctx, events)
+    scalar = np.array([ctx.norm(e) for e in events])
+    assert np.allclose(levels, scalar, rtol=0, atol=1e-12)
+    zero = scalar < ctx.threshold
+    assert zero.any() and not zero.all()
+
+
+def test_level_norms_agree_with_scalar_route(rng):
+    for state in (random_mixed_state(rng), random_pure_state(rng)):
+        ctx = Context(random_ordering(rng), state)
+        _assert_level_norms_match_scalar(ctx, _norm_check_events(ctx, rng, 50))
+
+
+def test_detected_level_norms_agree_with_scalar(default_ctx, rng):
+    from pkslab.measure import insert_detector
+
+    contexts = [
+        insert_detector(default_ctx, 12),
+        insert_detector(Context(random_ordering(rng), random_mixed_state(rng)), 20),
+    ]
+    for det in contexts:
+        _assert_level_norms_match_scalar(det, _norm_check_events(det, rng, 80))
+
+
+def test_cartesian_table_and_state_slots_match_the_projectors(rng):
+    """Green u u^T and red I - u u^T, carried to the z-basis by CART_TO_Z,
+    are the package's projectors; the real slots of a state give every
+    single-projector measure of the state."""
+    from pkslab import spin
+
+    t = spin.CART_TO_Z
+    assert np.allclose(t @ t.conj().T, np.eye(3), atol=1e-15)
+    projs = spin._ray_projectors()
+    for i, u in enumerate(spin.ray_directions()):
+        green = np.outer(u, u)
+        assert np.allclose(t @ green @ t.conj().T, projs[i, 0], atol=1e-15)
+        assert np.allclose(t @ (np.eye(3) - green) @ t.conj().T, projs[i, 1], atol=1e-15)
+    assert np.array_equal(explorer._Chains(Context()).state, [[[[0.0, 0.0, 1.0]]]])
+    for state in (random_mixed_state(rng), random_pure_state(rng), maximally_mixed_state()):
+        ctx = Context(random_ordering(rng), state)
+        slots = explorer._Chains(ctx).state[0, 0]
+        assert slots.shape[0] <= 2 * len(state.terms)
+        for i, u in enumerate(spin.ray_directions()):
+            along = slots @ u
+            for green, cart in ((True, along**2), (False, (slots**2).sum(axis=1) - along**2)):
+                want = sum(w * np.linalg.norm(projs[i, 1 - green] @ psi) ** 2 for w, psi in state.terms)
+                assert abs(cart.sum() - want) < 1e-14
+
+
+def test_non_finite_norms_refuse_the_scan(monkeypatch):
+    from pkslab import spin
+    from pkslab.cli import main
+
+    table = np.array(spin.ray_directions())
+    table[5] = np.nan
+    monkeypatch.setattr(spin, "ray_directions", lambda: table)
+    with pytest.raises(ValueError, match="non-finite"):
+        scan_zero_events(Context(), 1)
+    assert main(["zero-scan", "--max-fixed", "2"]) == 2
+
+
+def test_norm_margin_of_the_default_context():
+    for depth, min_nonzero in ((3, 7.58e-3), (4, 1.11e-3)):
+        scan = scan_zero_events(Context(), depth)
+        assert scan.norm.max() < 1e-14
+        assert scan.min_rejected == pytest.approx(min_nonzero, rel=1e-3)
+        assert scan[:10].min_rejected == scan.min_rejected
+
+
+@pytest.mark.slow
+def test_depth5_provenance_split(default_ctx):
+    scan = scan_zero_events(default_ctx, 5)
+    assert len(scan) == 3251065
+    assert provenance_counts(scan) == {
+        "scan": 1905786, "pks": 88, "coarse-grain-collapse": 899584, "accidental-adjacent": 445607,
+    }
 
 
 # --- the columnar scan result ---------------------------------------------------

@@ -185,20 +185,6 @@ def test_pks_zero_for_default_and_random_contexts(rng):
         assert report.union_entries
 
 
-def test_batch_chain_norms_agree_with_scalar_route(rng):
-    ctx = Context(random_ordering(rng), random_mixed_state(rng))
-    events = [random_homogeneous_event(rng, max_fixed=4) for _ in range(50)]
-    k = max(e.n_fixed for e in events)
-    # pad shorter chains by repeating the last projector? no: group by size
-    for size in {e.n_fixed for e in events}:
-        group = [e for e in events if e.n_fixed == size]
-        rays = np.array([[r for r, _ in ctx._chain(e)] for e in group])
-        greens = np.array([[g for _, g in ctx._chain(e)] for e in group])
-        batch = ctx.batch_chain_norms(rays, greens)
-        scalar = np.array([ctx.norm(e) for e in group])
-        assert np.allclose(batch, scalar, atol=1e-12)
-
-
 def test_detector_decoheres_sectors(default_ctx):
     i021 = ray_index("021")
     det = insert_detector(default_ctx, default_ctx.ordering.position_of(i021) + 1)
