@@ -10,13 +10,12 @@ from .rays import (
     are_orthogonal,
     enumerate_bases,
     enumerate_orthogonal_pairs,
-    generate_peres_set,
     ray_index,
     symmetry_group,
 )
 from .colourings import (
     Colouring,
-    PKSEvent,
+    HomogeneousEvent,
     act_on_colouring,
     gamma_p,
     gamma_p_prime,
@@ -41,10 +40,8 @@ from .coevents import (
 from .measure import (
     Context,
     EventUnion,
-    HomogeneousEvent,
     InitialState,
     Ordering,
-    insert_detector,
     verify_pks_zero,
 )
 from .explorer import (

@@ -19,7 +19,6 @@ import numpy as np
 from . import colourings as col
 from . import explorer, measure
 from .rays import (
-    N_RAYS,
     PERES_RAYS,
     enumerate_bases,
     enumerate_orthogonal_pairs,
@@ -63,23 +62,59 @@ def _load_ordering(path: str | None) -> measure.Ordering:
         labels = json.loads(text)
     else:
         labels = [line.strip() for line in text.splitlines() if line.strip()]
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ValueError("ordering file must list ray labels")
     return measure.Ordering.from_labels(labels)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _vector(rows) -> list[complex]:
+    if not isinstance(rows, list) or not all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in rows
+    ):
+        raise ValueError("a state vector must be a list of [re, im] number pairs")
+    return [complex(re, im) for re, im in rows]
 
 
 def _load_state(path: str | None) -> measure.InitialState:
     if path is None:
         return measure.InitialState.default()
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("state file must hold a JSON object")
     if "pure" in data:
-        vec = [complex(re, im) for re, im in data["pure"]]
-        return measure.InitialState.pure(vec)
+        return measure.InitialState.pure(_vector(data["pure"]))
     if "mixed" in data:
-        terms = [
-            (term["weight"], [complex(re, im) for re, im in term["pure"]])
-            for term in data["mixed"]
-        ]
-        return measure.InitialState(terms)
+        terms = data["mixed"]
+        if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and _is_number(t.get("weight")) for t in terms
+        ):
+            raise ValueError("'mixed' must list objects with a numeric 'weight'")
+        return measure.InitialState([(t["weight"], _vector(t["pure"])) for t in terms])
     raise ValueError("state file must contain 'pure' or 'mixed'")
+
+
+def _load_context(args) -> tuple[measure.Context, int | None]:
+    """The context of --ordering, --state and --threshold, and the 1-based
+    stage of the --detector ray (None without a detector)."""
+    ordering = _load_ordering(args.ordering)
+    ctx = measure.Context(ordering, _load_state(args.state), args.threshold)
+    if args.detector is None:
+        return ctx, None
+    return ctx, ordering.position_of(ray_index(args.detector)) + 1
+
+
+def _axioms(a: measure.AxiomReport) -> dict:
+    return {
+        "hermiticity": a.hermiticity,
+        "additivity": a.additivity,
+        "min_diagonal": a.positivity,
+        "normalisation": a.normalisation,
+        "sum_rule": a.sum_rule,
+    }
 
 
 def _emit(report: dict, fmt: str, lines: list[str]) -> None:
@@ -248,18 +283,16 @@ def cmd_phi_m(args) -> int:
 
 def cmd_measure_check(args) -> int:
     try:
-        ordering = _load_ordering(args.ordering)
-        state = _load_state(args.state)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        ctx, position = _load_context(args)
+    except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    ctx = measure.Context(ordering, state, args.threshold)
     rng = np.random.default_rng(args.seed)
     axioms = measure.check_axioms(ctx, rng, samples=args.samples)
     pks = measure.verify_pks_zero(ctx, rng)
     config = {
         "command": "measure-check",
-        "ordering": list(ordering.labels()),
+        "ordering": list(ctx.ordering.labels()),
         "threshold": args.threshold,
         "seed": args.seed,
         "detector": args.detector,
@@ -270,14 +303,7 @@ def cmd_measure_check(args) -> int:
         "config_hash": _config_hash(config),
         "seed": args.seed,
         "threshold": args.threshold,
-        "axioms": {
-            "hermiticity": axioms.hermiticity,
-            "additivity": axioms.additivity,
-            "min_diagonal": axioms.positivity,
-            "normalisation": axioms.normalisation,
-            "sum_rule": axioms.sum_rule,
-            "samples": axioms.samples,
-        },
+        "axioms": {**_axioms(axioms), "samples": axioms.samples},
         "pks_zero": {
             "max_norm": pks.max_norm,
             "events": len(pks.entries),
@@ -295,13 +321,8 @@ def cmd_measure_check(args) -> int:
         f"preclusion family: {len(pks.entries)} events + "
         f"{len(pks.union_entries)} sampled disjoint unions, max norm {pks.max_norm:.3e}",
     ]
-    if args.detector is not None:
-        try:
-            position = ordering.position_of(ray_index(args.detector)) + 1
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        det = measure.insert_detector(ctx, position)
+    if position is not None:
+        det = measure.DetectedContext(ctx, position)
         det_axioms = measure.check_axioms(det, rng, samples=args.samples)
         g = measure.HomogeneousEvent.from_fixed({det.detected_ray: True})
         r = measure.HomogeneousEvent.from_fixed({det.detected_ray: False})
@@ -310,13 +331,7 @@ def cmd_measure_check(args) -> int:
             "ray": args.detector,
             "position": position,
             "sector_cross_term": cross,
-            "axioms": {
-                "hermiticity": det_axioms.hermiticity,
-                "additivity": det_axioms.additivity,
-                "min_diagonal": det_axioms.positivity,
-                "normalisation": det_axioms.normalisation,
-                "sum_rule": det_axioms.sum_rule,
-            },
+            "axioms": _axioms(det_axioms),
         }
         ok = ok and det_axioms.passes() and cross == 0.0
         lines.append(
@@ -330,23 +345,20 @@ def cmd_measure_check(args) -> int:
 
 def cmd_zero_scan(args) -> int:
     try:
-        ordering = _load_ordering(args.ordering)
-        state = _load_state(args.state)
+        ctx, position = _load_context(args)
         if args.budget < 0:
             raise ValueError("--budget must be non-negative")
-        ctx = measure.Context(ordering, state, args.threshold)
-        if args.detector is not None:
-            position = ordering.position_of(ray_index(args.detector)) + 1
-            ctx = measure.insert_detector(ctx, position)
+        if position is not None:
+            ctx = measure.DetectedContext(ctx, position)
         verdict, records = explorer.context_coverage(ctx, args.max_fixed)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     counts = explorer.provenance_counts(records)
     pks_baseline = explorer.pks_only_coverage()
     config = {
         "command": "zero-scan",
-        "ordering": list(ordering.labels()),
+        "ordering": list(ctx.ordering.labels()),
         "threshold": args.threshold,
         "max_fixed": args.max_fixed,
         "seed": args.seed,
@@ -382,7 +394,7 @@ def cmd_zero_scan(args) -> int:
         f"support coverage: {verdict.describe()}",
         f"against the bare preclusion family: {pks_baseline.status}",
     ]
-    if ordering.ray_at[-1] == ray_index("021"):
+    if ctx.ordering.ray_at[-1] == ray_index("021"):
         built = explorer.last_ray_021_construction(ctx)
         report["final_stage_construction"] = {
             "e1": built.e1.describe(),

@@ -10,7 +10,7 @@ is inclusion-minimal among preclusive ones.
 
 The 2^33 colouring space is never enumerated: co-events over it keep an
 explicit support (a few colourings) and are evaluated against events that
-can decide membership.
+can decide which colourings they contain.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import numpy as np
 
 from .colourings import (
     Colouring,
-    PKSEvent,
     act_on_colouring,
     gamma_p,
     gamma_p_prime,
     pks_events,
 )
-from .rays import PERES_RAYS, RayType, apply_symmetry, ray_index, symmetry_group
+from .rays import PERES_RAYS, RayType, apply_symmetry, symmetry_group
 
 # --- small explicit sample spaces ------------------------------------------------
 
@@ -61,10 +60,6 @@ class CoEvent:
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.support >> i & 1)
-
-
-def evaluate(co: CoEvent, event: int) -> int:
-    return co.evaluate(event)
 
 
 def truth_set_is_filter(co: CoEvent) -> bool:
@@ -287,10 +282,8 @@ def preclusive_on_pks_family(co: SupportCoevent) -> bool:
     """Preclusive on every preclusion event and every pairwise-disjoint
     union of them.  Evaluated through the explicit cover search."""
     from .explorer import coverage_check
-    from .measure import HomogeneousEvent
 
-    events = [HomogeneousEvent.from_pks(e) for e in pks_events()]
-    return not coverage_check(co.support, events, scope="preclusion family").covered
+    return not coverage_check(co.support, pks_events(), scope="preclusion family").covered
 
 
 @lru_cache(maxsize=2)

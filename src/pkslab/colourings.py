@@ -3,18 +3,19 @@
 A colouring assigns green (spin-squared 0) or red (spin-squared 1) to each
 of the 33 rays; the sample space has 2^33 elements.  A colouring is stored
 as a 33-bit word keyed to the fixed ray order, with bit i = 1 meaning ray i
-is green.
+is green.  A homogeneous event fixes the colours of some rays and leaves
+the rest free; the 88 preclusion events (a basis all red, an orthogonal
+pair all green) are homogeneous events too.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .rays import (
+    IDENTITY,
     N_RAYS,
     PERES_RAYS,
     SWAP_XY,
@@ -30,6 +31,13 @@ from .rays import (
 FULL_MASK = (1 << N_RAYS) - 1
 
 
+def _mask(indices) -> int:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
 @dataclass(frozen=True, order=True)
 class Colouring:
     """A total green/red assignment; bit i set means ray i is green."""
@@ -42,10 +50,7 @@ class Colouring:
 
     @classmethod
     def from_green_indices(cls, greens) -> "Colouring":
-        bits = 0
-        for i in greens:
-            bits |= 1 << i
-        return cls(bits)
+        return cls(_mask(greens))
 
     @classmethod
     def from_string(cls, s: str) -> "Colouring":
@@ -76,85 +81,102 @@ class Colouring:
         return self.to_string()
 
 
-class PKSKind(Enum):
-    ALL_RED_BASIS = "R"
-    ALL_GREEN_PAIR = "G"
+@dataclass(frozen=True, slots=True)
+class HomogeneousEvent:
+    """Colourings agreeing with fixed colours on a ray subset, free elsewhere."""
 
-
-@dataclass(frozen=True)
-class PKSEvent:
-    """A preclusion target: a basis coloured all red, or an orthogonal pair
-    coloured all green."""
-
-    kind: PKSKind
-    indices: tuple[int, ...]
+    green_mask: int
+    red_mask: int
 
     def __post_init__(self) -> None:
-        if self.kind is PKSKind.ALL_RED_BASIS:
-            Basis(self.indices)  # validates
-        else:
-            i, j = self.indices
-            if not any(p.indices == (i, j) for p in enumerate_orthogonal_pairs()):
-                raise ValueError(f"{self.indices} is not an orthogonal pair")
+        if self.green_mask & self.red_mask:
+            raise ValueError("a ray cannot be fixed both green and red")
+        if (self.green_mask | self.red_mask) >> N_RAYS:
+            raise ValueError("fixed mask out of range")
+
+    @classmethod
+    def from_fixed(cls, fixed: dict[int, bool]) -> "HomogeneousEvent":
+        g = r = 0
+        for i, green in fixed.items():
+            if green:
+                g |= 1 << i
+            else:
+                r |= 1 << i
+        return cls(g, r)
+
+    @classmethod
+    def everything(cls) -> "HomogeneousEvent":
+        return cls(0, 0)
+
+    @classmethod
+    def agreeing_with(cls, c: Colouring, rays) -> "HomogeneousEvent":
+        """Fix the listed rays at the colours the given colouring assigns."""
+        return cls.from_fixed({i: c.is_green(i) for i in rays})
 
     @property
-    def green_mask(self) -> int:
-        if self.kind is PKSKind.ALL_GREEN_PAIR:
-            return sum(1 << i for i in self.indices)
-        return 0
+    def fixed_mask(self) -> int:
+        return self.green_mask | self.red_mask
 
     @property
-    def red_mask(self) -> int:
-        if self.kind is PKSKind.ALL_RED_BASIS:
-            return sum(1 << i for i in self.indices)
-        return 0
+    def fixed(self) -> dict[int, bool]:
+        """Fixed ray -> colour (True is green), in ascending ray order."""
+        out, mask = {}, self.green_mask | self.red_mask
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] = bool(self.green_mask & low)
+            mask ^= low
+        return out
+
+    @property
+    def n_fixed(self) -> int:
+        return self.fixed_mask.bit_count()
 
     def contains(self, c: Colouring) -> bool:
         return (c.bits & self.green_mask) == self.green_mask and (
             ~c.bits & self.red_mask
         ) == self.red_mask
 
-    def is_disjoint_from(self, other: "PKSEvent") -> bool:
-        """Syntactic disjointness: some ray is fixed oppositely in both."""
+    def is_disjoint_from(self, other: "HomogeneousEvent") -> bool:
+        """Syntactic disjointness: some ray fixed green here and red there."""
         return bool(
             self.green_mask & other.red_mask or self.red_mask & other.green_mask
         )
 
-    @property
-    def name(self) -> str:
-        labels = ",".join(PERES_RAYS[i].label for i in self.indices)
-        return f"{self.kind.value}{{{labels}}}"
+    def with_fixed(self, ray: int, green: bool) -> "HomogeneousEvent | None":
+        """Intersect with a single-ray constraint; None if the result is empty."""
+        bit = 1 << ray
+        if (self.red_mask if green else self.green_mask) & bit:
+            return None
+        if green:
+            return HomogeneousEvent(self.green_mask | bit, self.red_mask)
+        return HomogeneousEvent(self.green_mask, self.red_mask | bit)
+
+    def describe(self) -> str:
+        parts = [
+            f"{PERES_RAYS[i].label}={'g' if green else 'r'}"
+            for i, green in sorted(self.fixed.items())
+        ]
+        return "{" + ", ".join(parts) + "}" if parts else "{all colourings}"
 
 
 @lru_cache(maxsize=1)
-def pks_events() -> tuple[PKSEvent, ...]:
-    """All-red events for the 16 bases, then all-green events for the 72 pairs."""
-    reds = [PKSEvent(PKSKind.ALL_RED_BASIS, b.indices) for b in enumerate_bases()]
-    greens = [
-        PKSEvent(PKSKind.ALL_GREEN_PAIR, p.indices)
-        for p in enumerate_orthogonal_pairs()
-    ]
+def pks_events() -> tuple[HomogeneousEvent, ...]:
+    """The 88 preclusion events: all red on each of the 16 bases, then all
+    green on each of the 72 orthogonal pairs."""
+    reds = [HomogeneousEvent(0, _mask(b.indices)) for b in enumerate_bases()]
+    greens = [HomogeneousEvent(_mask(p.indices), 0) for p in enumerate_orthogonal_pairs()]
     return tuple(reds + greens)
 
 
-def membership(c: Colouring, e: PKSEvent) -> bool:
-    return e.contains(c)
-
-
-def pks_sets_containing(c: Colouring) -> tuple[PKSEvent, ...]:
+def pks_sets_containing(c: Colouring) -> tuple[HomogeneousEvent, ...]:
     return tuple(e for e in pks_events() if e.contains(c))
 
 
 def is_consistent(c: Colouring) -> bool:
-    """Exactly one green per basis and no orthogonal pair green-green."""
-    for b in enumerate_bases():
-        if sum(c.is_green(i) for i in b.indices) != 1:
-            return False
-    for p in enumerate_orthogonal_pairs():
-        i, j = p.indices
-        if c.is_green(i) and c.is_green(j):
-            return False
-    return True
+    """Exactly one green per basis and no orthogonal pair green-green.  That
+    is lying in no preclusion event: the rays of a basis are pairwise
+    orthogonal, so with no green pair no basis has two greens."""
+    return not pks_sets_containing(c)
 
 
 # --- the eleven-basis contradiction chain -------------------------------------
@@ -300,10 +322,18 @@ class _Conflict(Exception):
         self.contradiction = contradiction
 
 
+def _seeded(seed: dict[int, bool]) -> list[int]:
+    col = [_UNSET] * N_RAYS
+    for r, green in seed.items():
+        col[r] = _GREEN if green else _RED
+    return col
+
+
 def _propagate(col: list[int], trace: list[ForcedStep] | None, order) -> None:
-    """Forcing loop: a green ray reddens all orthogonal rays; a basis with
-    two reds forces the third ray green.  Raises _Conflict when a basis
-    goes all red or a green-green orthogonal pair appears."""
+    """Forcing loop: a green ray reddens all orthogonal rays; a basis of
+    `order` with two reds forces the third ray green.  Raises _Conflict when
+    a basis goes all red or a green-green orthogonal pair appears.  With no
+    bases this is the closure of the orthogonality rule alone."""
     neigh = _orthogonal_neighbours()
     while True:
         changed = False
@@ -331,6 +361,35 @@ def _propagate(col: list[int], trace: list[ForcedStep] | None, order) -> None:
             return
 
 
+def _branch(col: list[int], order) -> tuple[int, int, list[Contradiction]]:
+    """Depth-first search over the completions of a partial colouring.
+
+    Each node propagates, then splits the first unset ray, green before
+    red.  Returns the number of consistent completions, the number of nodes
+    visited and the contradictions that closed branches, in visit order.
+    """
+    consistent = nodes = 0
+    found: list[Contradiction] = []
+    stack = [list(col)]
+    while stack:
+        work = stack.pop()
+        nodes += 1
+        try:
+            _propagate(work, None, order)
+        except _Conflict as c:
+            found.append(c.contradiction)
+            continue
+        if _UNSET not in work:
+            consistent += 1
+            continue
+        i = work.index(_UNSET)
+        for v in (_RED, _GREEN):  # pushed in reverse, so green is visited first
+            child = list(work)
+            child[i] = v
+            stack.append(child)
+    return consistent, nodes, found
+
+
 @dataclass(frozen=True)
 class ForcedExtensionTrace:
     seed_greens: tuple[int, ...]
@@ -346,23 +405,6 @@ class ForcedExtensionTrace:
         return None
 
 
-def _green_propagate(col: list[int]) -> None:
-    """Closure of the orthogonality rule only: greens force their orthogonal
-    rays red.  Raises on a green-green orthogonal pair."""
-    neigh = _orthogonal_neighbours()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(N_RAYS):
-            if col[i] == _GREEN:
-                for j in neigh[i]:
-                    if col[j] == _GREEN:
-                        raise _Conflict(Contradiction("green-green-pair", (i, j)))
-                    if col[j] == _UNSET:
-                        col[j] = _RED
-                        changed = True
-
-
 def _transport_chain(seed: dict[int, bool]) -> tuple[Basis, ...] | None:
     """The symmetry image of the published proof chain matching this seed.
 
@@ -372,8 +414,6 @@ def _transport_chain(seed: dict[int, bool]) -> tuple[Basis, ...] | None:
     every seed arises this way (the window is not symmetry-invariant), so
     None signals the general fallback.
     """
-    from .rays import IDENTITY, ray_permutations
-
     if seed == fiducial_seed():  # breaks the bootstrap: gamma_p() walks this seed
         return basis_chain()[4:11]
     window = seed_window()
@@ -418,9 +458,7 @@ def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
         if trace is not None:
             return trace
 
-    col = [_UNSET] * N_RAYS
-    for r, green in seed.items():
-        col[r] = _GREEN if green else _RED
+    col = _seeded(seed)
     steps: list[ForcedStep] = []
     order = basis_chain()
     try:
@@ -435,35 +473,13 @@ def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
         )
 
     # Forcing stalled: prove no consistent completion exists by branching.
-    first: list[Contradiction] = []
-    nodes = 0
-
-    def closed(state: list[int]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        work = list(state)
-        try:
-            _propagate(work, None, order)
-        except _Conflict as c:
-            if not first:
-                first.append(c.contradiction)
-            return True
-        if _UNSET not in work:
-            return False  # a consistent colouring: must never happen
-        i = work.index(_UNSET)
-        for v in (_GREEN, _RED):
-            child = list(work)
-            child[i] = v
-            if not closed(child):
-                return False
-        return True
-
-    if not closed(col):
+    consistent, nodes, found = _branch(col, order)
+    if consistent:
         raise AssertionError("seed admitted a consistent completion")
     return ForcedExtensionTrace(
         seed_greens=seed_greens,
         steps=tuple(steps),
-        contradiction=first[0],
+        contradiction=found[0],
         forced_only=False,
         branch_nodes=nodes,
     )
@@ -475,12 +491,10 @@ def _walk_chain(
     """Walk the transported proof table: force the green choice at each of
     the first six bases, expect the last all red.  None if the walk does
     not fit (the caller then falls back to the general search)."""
-    col = [_UNSET] * N_RAYS
-    for r, green in seed.items():
-        col[r] = _GREEN if green else _RED
+    col = _seeded(seed)
     steps: list[ForcedStep] = []
     try:
-        _green_propagate(col)
+        _propagate(col, None, ())
         for b in chain[:-1]:
             vals = [col[i] for i in b.indices]
             if vals.count(_RED) == 3:
@@ -496,7 +510,7 @@ def _walk_chain(
             reds = tuple(i for i in b.indices if i != forced)
             col[forced] = _GREEN
             steps.append(ForcedStep(b, reds, forced))
-            _green_propagate(col)
+            _propagate(col, None, ())
         last = chain[-1]
         if all(col[i] == _RED for i in last.indices):
             return ForcedExtensionTrace(
@@ -527,30 +541,8 @@ def verify_ks_theorem() -> NonColourabilityCertificate:
     Counts consistent total colourings (the theorem says zero) and records
     every contradiction site closed along the way.
     """
-    order = basis_chain()
-    sites: Counter[str] = Counter()
-    nodes = 0
-    consistent = 0
-
-    def dfs(state: list[int]) -> None:
-        nonlocal nodes, consistent
-        nodes += 1
-        work = list(state)
-        try:
-            _propagate(work, None, order)
-        except _Conflict as c:
-            sites[c.contradiction.description] += 1
-            return
-        if _UNSET not in work:
-            consistent += 1
-            return
-        i = work.index(_UNSET)
-        for v in (_GREEN, _RED):
-            child = list(work)
-            child[i] = v
-            dfs(child)
-
-    dfs([_UNSET] * N_RAYS)
+    consistent, nodes, found = _branch([_UNSET] * N_RAYS, basis_chain())
+    sites = Counter(c.description for c in found)
     return NonColourabilityCertificate(
         consistent_count=consistent,
         nodes=nodes,
@@ -575,16 +567,12 @@ def gamma_p() -> Colouring:
 def act_on_colouring(g: Symmetry, c: Colouring) -> Colouring:
     """Transport a colouring: the image colours g(u) as c colours u.
 
-    With this convention membership transports cleanly: c lies in an
+    With this convention containment transports cleanly: c lies in an
     all-green event on P exactly when g.c lies in the all-green event on
     g(P), and likewise for all-red events.
     """
     perm = ray_permutations()[g]  # perm[i] = index of g(u_i)
-    bits = 0
-    for i in range(N_RAYS):
-        if c.is_green(i):
-            bits |= 1 << perm[i]
-    return Colouring(bits)
+    return Colouring(_mask(perm[i] for i in c.green_indices()))
 
 
 @lru_cache(maxsize=1)
@@ -593,6 +581,7 @@ def gamma_p_prime() -> Colouring:
     return act_on_colouring(SWAP_XY, gamma_p())
 
 
-def act_on_pks_event(g: Symmetry, e: PKSEvent) -> PKSEvent:
+def act_on_event(g: Symmetry, e: HomogeneousEvent) -> HomogeneousEvent:
+    """Transport an event the way `act_on_colouring` transports colourings."""
     perm = ray_permutations()[g]
-    return PKSEvent(e.kind, tuple(sorted(perm[i] for i in e.indices)))
+    return HomogeneousEvent.from_fixed({perm[i]: green for i, green in e.fixed.items()})

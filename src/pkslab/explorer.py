@@ -157,8 +157,8 @@ class ZeroScan(Sequence):
 
 @lru_cache(maxsize=1)
 def _ray_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Exact orthogonality of every ray pair (33x33) and basis membership of
-    every ray triple (33x33x33), both symmetric under permuting the axes."""
+    """Exact orthogonality of every ray pair (33x33) and whether every ray
+    triple (33x33x33) is a basis, both symmetric under permuting the axes."""
     orth = np.array(
         [[are_orthogonal(a, b) for b in PERES_RAYS] for a in PERES_RAYS], dtype=bool
     )
@@ -403,8 +403,7 @@ def coverage_check(
 def pks_only_coverage() -> CoverageVerdict:
     """Coverage of {gamma_P, gamma_P'} against the bare preclusion family:
     never covered, which is exactly why that support was chosen."""
-    events = [HomogeneousEvent.from_pks(e) for e in pks_events()]
-    return coverage_check(phi_m_support(), events, scope="preclusion family only")
+    return coverage_check(phi_m_support(), pks_events(), scope="preclusion family only")
 
 
 # --- structural constructions ---------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colourings import Colouring, PKSEvent, pks_events
+from .colourings import Colouring, HomogeneousEvent, pks_events
 from .rays import N_RAYS, PERES_RAYS, ray_index
 from .spin import ray_projector
 
@@ -94,88 +94,6 @@ class InitialState:
         return len(self.terms) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class HomogeneousEvent:
-    """Colourings agreeing with fixed colours on a ray subset, free elsewhere."""
-
-    green_mask: int
-    red_mask: int
-
-    def __post_init__(self) -> None:
-        if self.green_mask & self.red_mask:
-            raise ValueError("a ray cannot be fixed both green and red")
-        if (self.green_mask | self.red_mask) >> N_RAYS:
-            raise ValueError("fixed mask out of range")
-
-    @classmethod
-    def from_fixed(cls, fixed: dict[int, bool]) -> "HomogeneousEvent":
-        g = r = 0
-        for i, green in fixed.items():
-            if green:
-                g |= 1 << i
-            else:
-                r |= 1 << i
-        return cls(g, r)
-
-    @classmethod
-    def everything(cls) -> "HomogeneousEvent":
-        return cls(0, 0)
-
-    @classmethod
-    def from_pks(cls, e: PKSEvent) -> "HomogeneousEvent":
-        return cls(e.green_mask, e.red_mask)
-
-    @classmethod
-    def agreeing_with(cls, c: Colouring, rays) -> "HomogeneousEvent":
-        """Fix the listed rays at the colours the given colouring assigns."""
-        return cls.from_fixed({i: c.is_green(i) for i in rays})
-
-    @property
-    def fixed_mask(self) -> int:
-        return self.green_mask | self.red_mask
-
-    @property
-    def fixed(self) -> dict[int, bool]:
-        """Fixed ray -> colour (True is green), in ascending ray order."""
-        out, mask = {}, self.green_mask | self.red_mask
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1] = bool(self.green_mask & low)
-            mask ^= low
-        return out
-
-    @property
-    def n_fixed(self) -> int:
-        return self.fixed_mask.bit_count()
-
-    def contains(self, c: Colouring) -> bool:
-        return (c.bits & self.green_mask) == self.green_mask and (
-            ~c.bits & self.red_mask
-        ) == self.red_mask
-
-    def is_disjoint_from(self, other: "HomogeneousEvent") -> bool:
-        """Syntactic disjointness: some ray fixed green here and red there."""
-        return bool(
-            self.green_mask & other.red_mask or self.red_mask & other.green_mask
-        )
-
-    def with_fixed(self, ray: int, green: bool) -> "HomogeneousEvent | None":
-        """Intersect with a single-ray constraint; None if the result is empty."""
-        bit = 1 << ray
-        if (self.red_mask if green else self.green_mask) & bit:
-            return None
-        if green:
-            return HomogeneousEvent(self.green_mask | bit, self.red_mask)
-        return HomogeneousEvent(self.green_mask, self.red_mask | bit)
-
-    def describe(self) -> str:
-        parts = [
-            f"{PERES_RAYS[i].label}={'g' if green else 'r'}"
-            for i, green in sorted(self.fixed.items())
-        ]
-        return "{" + ", ".join(parts) + "}" if parts else "{all colourings}"
-
-
 @dataclass(frozen=True)
 class EventUnion:
     """A disjoint union of homogeneous events.
@@ -201,8 +119,6 @@ class EventUnion:
 def as_union(event) -> EventUnion:
     if isinstance(event, EventUnion):
         return event
-    if isinstance(event, PKSEvent):
-        event = HomogeneousEvent.from_pks(event)
     if isinstance(event, HomogeneousEvent):
         return EventUnion((event,))
     raise TypeError(f"cannot interpret {event!r} as an event")
@@ -341,7 +257,7 @@ def verify_pks_zero(ctx: Context, rng=None, union_samples: int = 25) -> PksZeroR
     sampled pairwise-disjoint unions of them; all must vanish."""
     entries = []
     for e in pks_events():
-        entries.append((e.name, ctx.norm(e), ctx.measure(e)))
+        entries.append((e.describe(), ctx.norm(e), ctx.measure(e)))
     unions = []
     if union_samples:
         rng = rng or np.random.default_rng(0)
@@ -350,12 +266,11 @@ def verify_pks_zero(ctx: Context, rng=None, union_samples: int = 25) -> PksZeroR
         while len(unions) < union_samples and tries < union_samples * 50:
             tries += 1
             picks = rng.choice(len(events), size=rng.integers(2, 4), replace=False)
-            members = [HomogeneousEvent.from_pks(events[i]) for i in picks]
             try:
-                union = EventUnion(tuple(members))
+                union = EventUnion(tuple(events[i] for i in picks))
             except ValueError:
                 continue
-            name = " | ".join(events[i].name for i in picks)
+            name = " | ".join(events[i].describe() for i in picks)
             unions.append((name, ctx.norm(union), ctx.measure(union)))
     return PksZeroReport(tuple(entries), tuple(unions), ctx.threshold)
 
@@ -386,10 +301,6 @@ class DetectedContext(_Functional):
         ua, ub = as_union(a), as_union(b)
         sectors = [(self._sector(ua, g), self._sector(ub, g)) for g in (False, True)]
         return complex(sum((self.base.decoherence(x, y) for x, y in sectors), 0j))
-
-
-def insert_detector(ctx: Context, position: int) -> DetectedContext:
-    return DetectedContext(ctx, position)
 
 
 # --- sampling helpers shared by the check commands and the test suite ----------

@@ -139,11 +139,6 @@ RAY_INDEX: dict[Ray, int] = {r: i for i, r in enumerate(PERES_RAYS)}
 N_RAYS = len(PERES_RAYS)
 
 
-def generate_peres_set() -> tuple[Ray, ...]:
-    """The 33 Peres rays in their fixed listing order."""
-    return PERES_RAYS
-
-
 def ray_index(ray_or_label: Ray | str) -> int:
     ray = ray_or_label if isinstance(ray_or_label, Ray) else Ray.from_label(ray_or_label)
     try:
@@ -215,7 +210,7 @@ def enumerate_bases() -> tuple[Basis, ...]:
 
 @lru_cache(maxsize=1)
 def enumerate_orthogonal_pairs() -> tuple[OrthogonalPair, ...]:
-    """All unordered orthogonal pairs, annotated by basis membership."""
+    """All unordered orthogonal pairs, each marked whether it lies in a basis."""
     inside = {
         pair for b in enumerate_bases() for pair in itertools.combinations(b.indices, 2)
     }

@@ -99,9 +99,9 @@ def test_criterion_05_walkthrough_reproduces_the_table():
 def test_criterion_06_support_colourings_in_unique_events():
     gp, gpp = col.gamma_p(), col.gamma_p_prime()
     holders = col.pks_sets_containing(gp)
-    assert len(holders) == 1 and col.basis_name(Basis(holders[0].indices)) == "B11"
+    assert len(holders) == 1 and col.basis_name(Basis(tuple(holders[0].fixed))) == "B11"
     holders_p = col.pks_sets_containing(gpp)
-    assert len(holders_p) == 1 and col.basis_name(Basis(holders_p[0].indices)) == "B7"
+    assert len(holders_p) == 1 and col.basis_name(Basis(tuple(holders_p[0].fixed))) == "B7"
     all_red = col.Colouring.all_red()
     assert holders[0].contains(all_red) and holders_p[0].contains(all_red)
     report(6, "gamma_P only in R_B11, gamma_P' only in R_B7, all-red witnesses overlap")
@@ -278,7 +278,7 @@ def test_criterion_14_detector_insertion():
     ctx = Context()
     rng = np.random.default_rng(14)
     i021 = ray_index("021")
-    det = measure.insert_detector(ctx, ctx.ordering.position_of(i021) + 1)
+    det = measure.DetectedContext(ctx, ctx.ordering.position_of(i021) + 1)
     g = HomogeneousEvent.from_fixed({i021: True})
     r = HomogeneousEvent.from_fixed({i021: False})
     assert det.decoherence(g, r) == 0

@@ -123,6 +123,45 @@ def test_measure_check_rejects_bad_state(tmp_path, capsys):
     assert code == 2
 
 
+# Files of the wrong shape or type: each must be refused as a config error
+# (exit 2), not crash the loaders with a TypeError or AttributeError.
+BAD_CONFIG_FILES = [
+    ("--state", {"pure": 5}),
+    ("--state", None),
+    ("--state", {"pure": [["a", 0], [1, 0], [0, 0]]}),
+    ("--state", "weight"),
+    ("--state", "pure"),
+    ("--state", {"mixed": ["weight"]}),
+    ("--state", {"mixed": [{"weight": "1", "pure": [[0, 0], [1, 0], [0, 0]]}]}),
+    ("--ordering", [1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize("command", ["measure-check", "zero-scan"])
+@pytest.mark.parametrize("flag,content", BAD_CONFIG_FILES)
+def test_malformed_config_file_exits_2(tmp_path, capsys, command, flag, content):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(content))
+    small = ["--max-fixed", "1"] if command == "zero-scan" else ["--samples", "1"]
+    assert main([command, flag, str(config_file), *small]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+
+
+def test_measure_check_rejects_bad_detector_before_the_checks(capsys, monkeypatch):
+    from pkslab import measure
+
+    def no_checks(*args, **kwargs):
+        raise AssertionError("axioms checked before the detector label")
+
+    monkeypatch.setattr(measure, "check_axioms", no_checks)
+    assert main(["measure-check", "--detector", "xyz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+
+
 @pytest.mark.parametrize("command", ["measure-check", "zero-scan"])
 def test_non_finite_state_file_exits_2(tmp_path, capsys, command):
     state_file = tmp_path / "state.json"

@@ -213,7 +213,7 @@ def test_phi_m_preclusive_and_minimal():
 
 def test_singleton_coevent_not_preclusive_against_pks():
     co = SupportCoevent((gamma_p(),))
-    zero_events = [HomogeneousEvent.from_pks(e) for e in pks_events()]
+    zero_events = list(pks_events())
     assert not co.is_preclusive_for(zero_events)
     assert phi_m().is_preclusive_for(zero_events)
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pkslab.colourings import (
     Colouring,
-    PKSKind,
     act_on_colouring,
+    act_on_event,
     basis_chain,
     basis_name,
     count_consistent_restricted,
@@ -15,7 +15,6 @@ from pkslab.colourings import (
     gamma_p,
     gamma_p_prime,
     is_consistent,
-    membership,
     peres_walkthrough,
     pks_events,
     pks_sets_containing,
@@ -52,24 +51,26 @@ def test_every_colouring_is_inconsistent_and_in_a_pks_set(bits):
 
 def test_pks_event_counts_and_examples():
     events = pks_events()
-    reds = [e for e in events if e.kind is PKSKind.ALL_RED_BASIS]
-    greens = [e for e in events if e.kind is PKSKind.ALL_GREEN_PAIR]
+    reds = [e for e in events if e.green_mask == 0]
+    greens = [e for e in events if e.red_mask == 0]
     assert len(reds) == 16
     assert len(greens) == 72
-    names = {e.name for e in events}
-    assert "R{100,0m12,021}" in names  # the contradiction basis of the walkthrough
+    assert events == tuple(reds + greens)  # the basis events come first
+    assert all(e.n_fixed == 3 for e in reds) and all(e.n_fixed == 2 for e in greens)
+    names = {e.describe() for e in events}
+    assert "{100=r, 0m12=r, 021=r}" in names  # the contradiction basis of the walkthrough
     assert any(
-        set(e.indices) == {ray_index("001"), ray_index("110")} for e in greens
+        set(e.fixed) == {ray_index("001"), ray_index("110")} for e in greens
     )
 
 
-def test_membership_examples():
+def test_containment_examples():
     all_red = Colouring.all_red()
     for e in pks_events():
-        if e.kind is PKSKind.ALL_RED_BASIS:
-            assert membership(all_red, e)
+        if e.green_mask == 0:
+            assert e.contains(all_red)
         else:
-            assert not membership(all_red, e)
+            assert not e.contains(all_red)
 
 
 def test_ks_theorem_unsat_certificate():
@@ -133,6 +134,128 @@ def test_every_seed_reaches_a_contradiction():
     assert branched == 4
 
 
+def test_ks_certificate_pinned():
+    cert = verify_ks_theorem()
+    assert cert.nodes == 47
+    assert cert.contradiction_counts == (
+        ("all-red basis B15 = {011, 21m1, 2m11}", 8),
+        ("all-red basis B16 = {101, 12m1, m121}", 12),
+        ("all-red basis B8 = {1m10, 112, m1m12}", 4),
+    )
+
+
+# Per seed, in enumeration order: seed greens, forced steps (basis:forced
+# green ray), the contradiction reached and the branch nodes spent.
+SEED_TRACES = (
+    ('010 011 110', '',
+     'all-red basis B16 = {101, 12m1, m121}', 3),
+    ('010 01m1 110', '',
+     'all-red basis B16 = {101, 12m1, m121}', 3),
+    ('100 101 110', '',
+     'all-red basis B15 = {011, 21m1, 2m11}', 3),
+    ('001 011 101 110', '',
+     'orthogonal pair both green: 001, 110', 0),
+    ('001 01m1 101 110', '',
+     'orthogonal pair both green: 001, 110', 0),
+    ('100 10m1 110', '',
+     'all-red basis B16 = {101, 12m1, m121}', 3),
+    ('001 011 10m1 110', '',
+     'orthogonal pair both green: 001, 110', 0),
+    ('001 01m1 10m1 110', '',
+     'orthogonal pair both green: 001, 110', 0),
+    ('010 011 m112', 'B9:012 B10:121 B11:021 B12:1m10 B13:120 B6:211 B14:210',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('010 01m1 m112', 'B9:012 B10:121 B11:021 B12:1m10 B13:120 B15:21m1 B14:210',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('100 101 m112', 'B7:m102 B6:2m1m1 B5:20m1 B12:1m10 B13:2m10 B10:m12m1 B14:m120',
+     'all-red basis B15 = {011, 21m1, 2m11}', 0),
+    ('001 011 101 m112', 'B9:012 B10:121 B11:021 B8:112 B5:102 B6:211',
+     'all-red basis B7 = {010, m102, 201}', 0),
+    ('001 01m1 101 m112', 'B7:m102 B9:012 B10:121 B11:021 B8:112 B5:102',
+     'all-red basis B15 = {011, 21m1, 2m11}', 0),
+    ('100 10m1 m112', 'B7:m102 B6:2m1m1 B5:20m1 B12:1m10 B13:2m10 B15:21m1 B14:210',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('001 011 10m1 m112', 'B7:m102 B6:2m1m1 B5:20m1 B8:m1m12 B9:012 B11:0m12',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('001 01m1 10m1 m112', 'B7:m102 B15:21m1 B5:20m1 B8:m1m12 B11:0m12 B16:12m1',
+     'all-red basis B9 = {100, 012, 02m1}', 0),
+    ('010 011 1m12', 'B11:0m12 B10:m12m1 B9:02m1 B12:1m10 B14:m120 B6:2m1m1 B13:2m10',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('010 01m1 1m12', 'B11:0m12 B10:m12m1 B9:02m1 B12:1m10 B14:m120 B15:2m11 B13:2m10',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('100 101 1m12', 'B5:102 B6:211 B7:201 B12:1m10 B14:210 B10:121 B13:120',
+     'all-red basis B15 = {011, 21m1, 2m11}', 0),
+    ('001 011 101 1m12', 'B5:102 B6:211 B7:201 B8:112 B9:012 B10:121',
+     'all-red basis B11 = {100, 0m12, 021}', 0),
+    ('001 01m1 101 1m12', 'B5:102 B11:0m12 B10:m12m1 B9:02m1 B8:m1m12 B7:m102',
+     'all-red basis B15 = {011, 21m1, 2m11}', 0),
+    ('100 10m1 1m12', 'B5:102 B6:211 B7:201 B12:1m10 B14:210 B15:2m11 B13:2m10',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('001 011 10m1 1m12', 'B5:102 B6:211 B7:201 B8:112 B9:012 B11:0m12',
+     'all-red basis B16 = {101, 12m1, m121}', 0),
+    ('001 01m1 10m1 1m12', 'B11:0m12 B16:12m1 B9:02m1 B8:m1m12 B7:m102 B15:21m1',
+     'all-red basis B5 = {010, 102, 20m1}', 0),
+)
+
+
+def test_every_seed_trace_pinned():
+    branch_nodes = []
+    for seed, (greens, steps, contradiction, nodes) in zip(
+        enumerate_seed_colourings(), SEED_TRACES, strict=True
+    ):
+        trace = peres_walkthrough(seed)
+        assert " ".join(PERES_RAYS[i].label for i in trace.seed_greens) == greens
+        assert " ".join(
+            f"{basis_name(s.basis)}:{PERES_RAYS[s.forced_green].label}" for s in trace.steps
+        ) == steps
+        assert all(
+            set(s.already_red) | {s.forced_green} == set(s.basis.indices) for s in trace.steps
+        )
+        assert trace.contradiction.description == contradiction
+        assert trace.branch_nodes == nodes
+        assert trace.forced_only == (nodes == 0)
+        branch_nodes.append(nodes)
+    assert sum(branch_nodes) == 12
+    assert sum(n > 0 for n in branch_nodes) == 4
+
+
+def _green_closure(col: list[int]) -> None:
+    """The orthogonality rule alone, written out: greens redden their
+    orthogonal rays until nothing changes; a green-green pair conflicts."""
+    from pkslab.colourings import (
+        _GREEN, _RED, _UNSET, Contradiction, _Conflict, _orthogonal_neighbours,
+    )
+
+    neigh = _orthogonal_neighbours()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(col)):
+            if col[i] == _GREEN:
+                for j in neigh[i]:
+                    if col[j] == _GREEN:
+                        raise _Conflict(Contradiction("green-green-pair", (i, j)))
+                    if col[j] == _UNSET:
+                        col[j] = _RED
+                        changed = True
+
+
+@given(st.lists(st.sampled_from((-1,) * 6 + (0, 1)), min_size=33, max_size=33))
+@settings(max_examples=300)
+def test_propagate_without_bases_is_the_green_closure(partial):
+    from pkslab.colourings import _Conflict, _propagate
+
+    def outcome(close):
+        col = list(partial)
+        try:
+            close(col)
+        except _Conflict as c:
+            return c.contradiction
+        return col
+
+    assert outcome(lambda col: _propagate(col, None, ())) == outcome(_green_closure)
+
+
 def test_walkthrough_rejects_bad_seed():
     bad = {r: False for r in seed_window()}  # all red violates every seed basis
     with pytest.raises(ValueError):
@@ -149,9 +272,9 @@ def test_gamma_p_matches_published_column():
 
 def test_gamma_p_lies_only_in_the_contradiction_event():
     holders = pks_sets_containing(gamma_p())
-    assert [e.name for e in holders] == ["R{100,0m12,021}"]
+    assert [e.describe() for e in holders] == ["{100=r, 0m12=r, 021=r}"]
     holders_prime = pks_sets_containing(gamma_p_prime())
-    assert [e.name for e in holders_prime] == ["R{010,m102,201}"]
+    assert [e.describe() for e in holders_prime] == ["{010=r, m102=r, 201=r}"]
 
 
 def test_mirror_colouring_values():
@@ -166,8 +289,8 @@ def test_mirror_colouring_values():
 
 def test_all_red_witnesses_non_disjointness():
     all_red = Colouring.all_red()
-    names = {e.name for e in pks_sets_containing(all_red)}
-    assert {"R{100,0m12,021}", "R{010,m102,201}"} <= names
+    names = {e.describe() for e in pks_sets_containing(all_red)}
+    assert {"{100=r, 0m12=r, 021=r}", "{010=r, m102=r, 201=r}"} <= names
 
 
 def test_identity_action():
@@ -179,14 +302,12 @@ def test_identity_action():
 
 @given(st.integers(0, 23), st.integers(0, 2**33 - 1))
 @settings(max_examples=60)
-def test_membership_equivariance(gi, bits):
-    from pkslab.colourings import act_on_pks_event
-
+def test_containment_equivariance(gi, bits):
     g = symmetry_group()[gi]
     c = Colouring(bits)
     moved = act_on_colouring(g, c)
     for e in pks_events()[:20]:
-        assert membership(c, e) == membership(moved, act_on_pks_event(g, e))
+        assert e.contains(c) == act_on_event(g, e).contains(moved)
 
 
 def test_transported_peres_colourings_form_a_free_orbit():

@@ -373,10 +373,8 @@ def test_detected_scan_and_coverage(default_ctx):
     """Detectors at the 021 stage destroy some preclusion zeros (the basis
     events whose product straddles the detected stage) but the support of
     the surviving co-event stays covered for the default context."""
-    from pkslab.measure import insert_detector
-
     i021 = ray_index("021")
-    det = insert_detector(default_ctx, default_ctx.ordering.position_of(i021) + 1)
+    det = DetectedContext(default_ctx, default_ctx.ordering.position_of(i021) + 1)
     records = scan_zero_events(det, 2)
     counts = provenance_counts(records)
     assert counts["pks"] == 57  # 15 of the 72 pair events gained measure
@@ -428,11 +426,9 @@ def test_level_norms_agree_with_scalar_route(rng):
 
 
 def test_detected_level_norms_agree_with_scalar(default_ctx, rng):
-    from pkslab.measure import insert_detector
-
     contexts = [
-        insert_detector(default_ctx, 12),
-        insert_detector(Context(random_ordering(rng), random_mixed_state(rng)), 20),
+        DetectedContext(default_ctx, 12),
+        DetectedContext(Context(random_ordering(rng), random_mixed_state(rng)), 20),
     ]
     for det in contexts:
         _assert_level_norms_match_scalar(det, _norm_check_events(det, rng, 80))
@@ -647,7 +643,7 @@ def test_coverage_witness_order_matches_reference(rng):
 def test_coverage_empty_and_preclusion_family():
     support = phi_m_support()
     assert coverage_check(support, [], "e") == reference_coverage(support, [], "e")
-    pks = [HomogeneousEvent.from_pks(e) for e in pks_events()]
+    pks = list(pks_events())
     want = reference_coverage(support, pks, "preclusion family only")
     assert pks_only_coverage() == want
     assert not want.covered

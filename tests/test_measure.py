@@ -11,9 +11,9 @@ from pkslab.measure import (
     HomogeneousEvent,
     InitialState,
     Ordering,
+    DetectedContext,
     check_axioms,
     event_state_by_completion,
-    insert_detector,
     random_disjoint_triple,
     random_homogeneous_event,
     truncated_path_states,
@@ -187,7 +187,7 @@ def test_pks_zero_for_default_and_random_contexts(rng):
 
 def test_detector_decoheres_sectors(default_ctx):
     i021 = ray_index("021")
-    det = insert_detector(default_ctx, default_ctx.ordering.position_of(i021) + 1)
+    det = DetectedContext(default_ctx, default_ctx.ordering.position_of(i021) + 1)
     assert det.detected_ray == i021
     g = HomogeneousEvent.from_fixed({i021: True})
     r = HomogeneousEvent.from_fixed({i021: False})
@@ -201,7 +201,7 @@ def test_detector_shifts_preclusion_zeros(default_ctx):
     # with coherence at ray 021 destroyed, the all-red event on the basis
     # {201, 010, m102} picks up measure 4/9 for the default state
     i021 = ray_index("021")
-    det = insert_detector(default_ctx, default_ctx.ordering.position_of(i021) + 1)
+    det = DetectedContext(default_ctx, default_ctx.ordering.position_of(i021) + 1)
     b7 = HomogeneousEvent.from_fixed(
         {ray_index("201"): False, ray_index("010"): False, ray_index("m102"): False}
     )
@@ -215,16 +215,16 @@ def test_detector_shifts_preclusion_zeros(default_ctx):
 
 def test_detected_functional_still_satisfies_axioms(rng):
     ctx = Context(random_ordering(rng), random_pure_state(rng))
-    det = insert_detector(ctx, 10)
+    det = DetectedContext(ctx, 10)
     report = check_axioms(det, rng, samples=40, sum_rule_trials=60)
     assert report.passes()
 
 
 def test_detector_position_validation(default_ctx):
     with pytest.raises(ValueError):
-        insert_detector(default_ctx, 0)
+        DetectedContext(default_ctx, 0)
     with pytest.raises(ValueError):
-        insert_detector(default_ctx, 34)
+        DetectedContext(default_ctx, 34)
 
 
 def test_random_triple_is_pairwise_disjoint(rng):
@@ -239,7 +239,7 @@ def test_gamma_p_basis_red_events_vanish(default_ctx):
     # the support colourings themselves sit inside zero events for any order
     for e in pks_events():
         if e.contains(gamma_p()):
-            assert default_ctx.norm(HomogeneousEvent.from_pks(e)) < 1e-12
+            assert default_ctx.norm(e) < 1e-12
 
 
 def test_sum_rule_thousand_triples_default_context(default_ctx):

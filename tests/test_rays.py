@@ -17,7 +17,6 @@ from pkslab.rays import (
     are_orthogonal,
     enumerate_bases,
     enumerate_orthogonal_pairs,
-    generate_peres_set,
     ray_index,
     symmetry_group,
 )
@@ -52,7 +51,7 @@ PUBLISHED_BASES = [
 
 
 def test_exactly_33_rays_in_published_order():
-    rays = generate_peres_set()
+    rays = PERES_RAYS
     assert len(rays) == 33
     expected = [
         label for t in (RayType.I, RayType.II, RayType.III, RayType.IV)
