@@ -1,9 +1,10 @@
 """Command-line laboratory: verifications, table reproductions, scans.
 
-Exit codes: 0 = all checks passed, 1 = a check failed, 2 = usage or parse
-error.  Every report embeds the seed and a hash of the effective
-configuration, and the structured (JSON) output carries the same numbers
-as the text rendering.
+Each command builds one report dict, which embeds the seed and a hash of
+the effective configuration.  The structured format prints that report as
+JSON; the text format is rendered from the same report, so the two agree by
+construction.  Exit codes: 0 = all checks passed, 1 = a check failed,
+2 = usage or config error.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ PUBLISHED_VALUATION = {
 ERRATUM_ROWS = {"112"}
 
 
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _header(config: dict) -> dict:
+    """The fields every report opens with; `config` is the effective
+    configuration, hashed."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode())
+    return {"schema_version": SCHEMA_VERSION, "command": config["command"],
+            "config_hash": digest.hexdigest()[:16]}
 
 
 def _load_ordering(path: str | None) -> measure.Ordering:
@@ -93,7 +97,7 @@ def _load_state(path: str | None) -> measure.InitialState:
             isinstance(t, dict) and _is_number(t.get("weight")) for t in terms
         ):
             raise ValueError("'mixed' must list objects with a numeric 'weight'")
-        return measure.InitialState([(t["weight"], _vector(t["pure"])) for t in terms])
+        return measure.InitialState([(t["weight"], _vector(t.get("pure"))) for t in terms])
     raise ValueError("state file must contain 'pure' or 'mixed'")
 
 
@@ -108,6 +112,7 @@ def _load_context(args) -> tuple[measure.Context, int | None]:
 
 
 def _axioms(a: measure.AxiomReport) -> dict:
+    """The residuals, keyed in `AxiomReport` field order."""
     return {
         "hermiticity": a.hermiticity,
         "additivity": a.additivity,
@@ -117,85 +122,46 @@ def _axioms(a: measure.AxiomReport) -> dict:
     }
 
 
-def _emit(report: dict, fmt: str, lines: list[str]) -> None:
-    if fmt == "structured":
-        print(json.dumps(report, indent=2, default=str, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+# --- commands: each returns its report ------------------------------------------
 
 
-# --- commands -------------------------------------------------------------------
-
-
-def cmd_geometry(args) -> int:
+def cmd_geometry(args) -> dict:
     bases = enumerate_bases()
     pairs = enumerate_orthogonal_pairs()
     group = symmetry_group()
-    chain = col.basis_chain()
-    rays = [
-        {"index": i, "label": r.label, "record": r.record, "type": r.ray_type.value}
-        for i, r in enumerate(PERES_RAYS)
-    ]
     type_counts = {}
     for r in PERES_RAYS:
         type_counts[r.ray_type.value] = type_counts.get(r.ray_type.value, 0) + 1
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "geometry",
-        "config_hash": _config_hash({"command": "geometry"}),
+    return {
+        **_header({"command": "geometry"}),
         "ray_count": len(PERES_RAYS),
         "type_counts": type_counts,
         "basis_count": len(bases),
         "orthogonal_pair_count": len(pairs),
         "pairs_outside_bases": sum(1 for p in pairs if not p.in_basis),
         "symmetry_count": len(group),
-        "rays": rays,
+        "rays": [
+            {"index": i, "label": r.label, "record": r.record, "type": r.ray_type.value}
+            for i, r in enumerate(PERES_RAYS)
+        ],
         "bases": [
-            {"name": col.basis_name(b), "labels": list(b.labels)} for b in chain
+            {"name": col.basis_name(b), "labels": list(b.labels)} for b in col.basis_chain()
         ],
         "pairs": [
             {"labels": list(p.labels), "in_basis": p.in_basis} for p in pairs
         ],
         "symmetries": [str(g) for g in group],
+        "pass": len(PERES_RAYS) == 33 and len(bases) == 16 and len(group) == 24,
     }
-    lines = [
-        f"rays: {report['ray_count']}  (types {type_counts})",
-        f"bases: {report['basis_count']}",
-        f"orthogonal pairs: {report['orthogonal_pair_count']} "
-        f"({report['pairs_outside_bases']} outside every basis)",
-        f"symmetries: {report['symmetry_count']}",
-        "",
-        "idx  label   record     type",
-    ]
-    for r in rays:
-        lines.append(f"{r['index']:3d}  {r['label']:6s}  {r['record']:9s}  {r['type']}")
-    lines.append("")
-    for b in report["bases"]:
-        lines.append(f"{b['name']:4s} {{{', '.join(b['labels'])}}}")
-    ok = (
-        report["ray_count"] == 33
-        and report["basis_count"] == 16
-        and report["symmetry_count"] == 24
-    )
-    report["pass"] = ok
-    _emit(report, args.format, lines)
-    return 0 if ok else 1
 
 
-def cmd_ks_verify(args) -> int:
+def cmd_ks_verify(args) -> dict:
     cert = col.verify_ks_theorem()
     seeds = col.enumerate_seed_colourings()
     trace = col.peres_walkthrough(col.fiducial_seed())
-    contradiction_basis = trace.contradiction_basis
-    at_b11 = (
-        contradiction_basis is not None
-        and col.basis_name(contradiction_basis) == "B11"
-    )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ks-verify",
-        "config_hash": _config_hash({"command": "ks-verify"}),
+    at_b11 = trace.contradiction_basis == col.basis_chain()[10]
+    return {
+        **_header({"command": "ks-verify"}),
         "unsat": cert.unsat,
         "consistent_colourings": cert.consistent_count,
         "search_nodes": cert.nodes,
@@ -210,19 +176,9 @@ def cmd_ks_verify(args) -> int:
         },
         "pass": cert.unsat and at_b11 and len(seeds) == 24,
     }
-    lines = [
-        f"non-colourability: {'UNSAT' if cert.unsat else 'FAILED'} "
-        f"({cert.consistent_count} consistent colourings, {cert.nodes} nodes)",
-        f"seed colourings of the four-basis window: {len(seeds)}",
-        "walkthrough from the fiducial seed:",
-    ]
-    lines += [f"  {s}" for s in report["walkthrough"]["steps"]]
-    lines.append(f"  contradiction: {trace.contradiction.description}")
-    _emit(report, args.format, lines)
-    return 0 if report["pass"] else 1
 
 
-def cmd_phi_m(args) -> int:
+def cmd_phi_m(args) -> dict:
     gp, gpp = col.gamma_p(), col.gamma_p_prime()
     rows = []
     mismatches = []
@@ -248,45 +204,23 @@ def cmd_phi_m(args) -> int:
             else:
                 mismatches.append(ray.label)
         rows.append(row)
-    both_zero = [
-        r["ray"] for r in rows if r["green_value"] == 0 and r["red_value"] == 0
-    ]
-    pks_verdict = explorer.pks_only_coverage()
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "phi-m",
-        "config_hash": _config_hash({"command": "phi-m"}),
+    return {
+        **_header({"command": "phi-m"}),
         "gamma_p": gp.to_string(),
         "gamma_p_prime": gpp.to_string(),
         "rows": rows,
         "errata": errata,
         "mismatches": mismatches,
-        "both_valued_false": both_zero,
-        "preclusive_on_pks_family": not pks_verdict.covered,
+        "both_valued_false": [
+            r["ray"] for r in rows if r["green_value"] == 0 and r["red_value"] == 0
+        ],
+        "preclusive_on_pks_family": not explorer.pks_only_coverage((gp, gpp)).covered,
         "pass": not mismatches and errata == ["112"],
     }
-    lines = ["ray    gP  gP'  v(green) v(red)"]
-    for r in rows:
-        mark = "  ERRATUM (published 1,1; computed 1,0)" if r.get("erratum") else ""
-        lines.append(
-            f"{r['ray']:6s} {r['gamma_p']:3s} {r['gamma_p_prime']:4s} "
-            f"{r['green_value']:8d} {r['red_value']:6d}{mark}"
-        )
-    lines.append(f"rays with both values 0: {', '.join(both_zero)}")
-    lines.append(
-        "support co-event precludes the whole preclusion family: "
-        f"{report['preclusive_on_pks_family']}"
-    )
-    _emit(report, args.format, lines)
-    return 0 if report["pass"] else 1
 
 
-def cmd_measure_check(args) -> int:
-    try:
-        ctx, position = _load_context(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_measure_check(args) -> dict:
+    ctx, position = _load_context(args)
     rng = np.random.default_rng(args.seed)
     axioms = measure.check_axioms(ctx, rng, samples=args.samples)
     pks = measure.verify_pks_zero(ctx, rng)
@@ -298,9 +232,7 @@ def cmd_measure_check(args) -> int:
         "detector": args.detector,
     }
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "measure-check",
-        "config_hash": _config_hash(config),
+        **_header(config),
         "seed": args.seed,
         "threshold": args.threshold,
         "axioms": {**_axioms(axioms), "samples": axioms.samples},
@@ -312,15 +244,6 @@ def cmd_measure_check(args) -> int:
         },
     }
     ok = axioms.passes() and pks.all_zero
-    lines = [
-        f"hermiticity residual: {axioms.hermiticity:.3e}",
-        f"additivity residual:  {axioms.additivity:.3e}",
-        f"min diagonal:         {axioms.positivity:.3e}",
-        f"normalisation |D(O,O)-1|: {axioms.normalisation:.3e}",
-        f"sum-rule residual:    {axioms.sum_rule:.3e}",
-        f"preclusion family: {len(pks.entries)} events + "
-        f"{len(pks.union_entries)} sampled disjoint unions, max norm {pks.max_norm:.3e}",
-    ]
     if position is not None:
         det = measure.DetectedContext(ctx, position)
         det_axioms = measure.check_axioms(det, rng, samples=args.samples)
@@ -334,28 +257,17 @@ def cmd_measure_check(args) -> int:
             "axioms": _axioms(det_axioms),
         }
         ok = ok and det_axioms.passes() and cross == 0.0
-        lines.append(
-            f"detector at {args.detector} (stage {position}): sector cross term "
-            f"{cross:.3e}; axioms re-checked: {det_axioms.passes()}"
-        )
     report["pass"] = ok
-    _emit(report, args.format, lines)
-    return 0 if ok else 1
+    return report
 
 
-def cmd_zero_scan(args) -> int:
-    try:
-        ctx, position = _load_context(args)
-        if args.budget < 0:
-            raise ValueError("--budget must be non-negative")
-        if position is not None:
-            ctx = measure.DetectedContext(ctx, position)
-        verdict, records = explorer.context_coverage(ctx, args.max_fixed)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    counts = explorer.provenance_counts(records)
-    pks_baseline = explorer.pks_only_coverage()
+def cmd_zero_scan(args) -> dict:
+    ctx, position = _load_context(args)
+    if args.budget < 0:
+        raise ValueError("--budget must be non-negative")
+    if position is not None:
+        ctx = measure.DetectedContext(ctx, position)
+    verdict, records = explorer.context_coverage(ctx, args.max_fixed)
     config = {
         "command": "zero-scan",
         "ordering": list(ctx.ordering.labels()),
@@ -366,34 +278,25 @@ def cmd_zero_scan(args) -> int:
         "detector": args.detector,
     }
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "zero-scan",
-        "config_hash": _config_hash(config),
+        **_header(config),
         "seed": args.seed,
         "threshold": args.threshold,
         "max_fixed": args.max_fixed,
         "detector": args.detector,
         "zero_events": len(records),
-        "provenance_counts": counts,
+        "provenance_counts": explorer.provenance_counts(records),
         "coverage": {
             "status": verdict.status,
             "scope": verdict.scope,
             "witness": [e.describe() for e in verdict.witness] if verdict.witness else None,
             "witness_norms": [ctx.norm(e) for e in verdict.witness] if verdict.witness else None,
         },
-        "pks_only_coverage": pks_baseline.status,
+        "pks_only_coverage": explorer.pks_only_coverage(explorer.phi_m_support()).status,
         "norm_margin": {
             "max_zero": float(records.norm.max()) if len(records) else None,
             "min_nonzero": records.min_rejected if np.isfinite(records.min_rejected) else None,
         },
     }
-    lines = [
-        f"zero events with <= {args.max_fixed} fixed rays: {len(records)}"
-        + (f" (detector at {args.detector})" if args.detector else ""),
-        f"provenance: {counts}",
-        f"support coverage: {verdict.describe()}",
-        f"against the bare preclusion family: {pks_baseline.status}",
-    ]
     if ctx.ordering.ray_at[-1] == ray_index("021"):
         built = explorer.last_ray_021_construction(ctx)
         report["final_stage_construction"] = {
@@ -403,10 +306,6 @@ def cmd_zero_scan(args) -> int:
             "norm2": built.norm2,
             "separating_ray": PERES_RAYS[built.separating_ray].label,
         }
-        lines.append(
-            f"final-stage construction: norms {built.norm1:.3e}, {built.norm2:.3e}, "
-            f"disjoint via ray {PERES_RAYS[built.separating_ray].label}"
-        )
     if args.budget:
         search = explorer.ordering_search(
             args.budget, seed=args.seed, threshold=args.threshold
@@ -429,25 +328,16 @@ def cmd_zero_scan(args) -> int:
                 for c in search.candidates
             ],
         }
-        best = search.candidates[0] if search.candidates else None
-        lines.append(
-            f"ordering search: {search.budget} candidates (seed {search.seed}); "
-            f"best: {best.label} -> {best.verdict.status}" if best else
-            "ordering search: no candidates"
-        )
-    _emit(report, args.format, lines)
-    return 0
+    return report
 
 
-def cmd_lemma_fuzz(args) -> int:
+def cmd_lemma_fuzz(args) -> dict:
     from . import coevents
 
     if not 2 <= args.max_n <= 12:
-        print("error: --max-n must be in 2..12", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n must be in 2..12")
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     failures = []
     for trial in range(args.trials):
@@ -472,10 +362,8 @@ def cmd_lemma_fuzz(args) -> int:
     hom_ok = all(count == n for n, count in hom_counts.items()) and all(
         coevents.verify_classical_coevents(n) for n in (2, 3, 4)
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lemma-fuzz",
-        "config_hash": _config_hash(
+    return {
+        **_header(
             {"command": "lemma-fuzz", "seed": args.seed,
              "trials": args.trials, "max_n": args.max_n}
         ),
@@ -487,13 +375,122 @@ def cmd_lemma_fuzz(args) -> int:
         "homomorphism_counts": hom_counts,
         "pass": not failures and filter_ok and hom_ok,
     }
+
+
+# --- text rendering: each reads the report alone --------------------------------
+
+
+def _text_geometry(report: dict) -> list[str]:
     lines = [
-        f"classical primitivity trials: {args.trials}, failures: {len(failures)}",
-        f"filter law on random co-events: {'ok' if filter_ok else 'FAILED'}",
-        f"homomorphism counts: {hom_counts}",
+        f"rays: {report['ray_count']}  (types {report['type_counts']})",
+        f"bases: {report['basis_count']}",
+        f"orthogonal pairs: {report['orthogonal_pair_count']} "
+        f"({report['pairs_outside_bases']} outside every basis)",
+        f"symmetries: {report['symmetry_count']}",
+        "",
+        "idx  label   record     type",
     ]
-    _emit(report, args.format, lines)
-    return 0 if report["pass"] else 1
+    for r in report["rays"]:
+        lines.append(f"{r['index']:3d}  {r['label']:6s}  {r['record']:9s}  {r['type']}")
+    lines.append("")
+    for b in report["bases"]:
+        lines.append(f"{b['name']:4s} {{{', '.join(b['labels'])}}}")
+    return lines
+
+
+def _text_ks_verify(report: dict) -> list[str]:
+    walk = report["walkthrough"]
+    return [
+        f"non-colourability: {'UNSAT' if report['unsat'] else 'FAILED'} "
+        f"({report['consistent_colourings']} consistent colourings, "
+        f"{report['search_nodes']} nodes)",
+        f"seed colourings of the four-basis window: {report['seed_colourings']}",
+        "walkthrough from the fiducial seed:",
+        *(f"  {s}" for s in walk["steps"]),
+        f"  contradiction: {walk['contradiction']}",
+    ]
+
+
+def _text_phi_m(report: dict) -> list[str]:
+    lines = ["ray    gP  gP'  v(green) v(red)"]
+    for r in report["rows"]:
+        mark = "  ERRATUM (published 1,1; computed 1,0)" if r.get("erratum") else ""
+        lines.append(
+            f"{r['ray']:6s} {r['gamma_p']:3s} {r['gamma_p_prime']:4s} "
+            f"{r['green_value']:8d} {r['red_value']:6d}{mark}"
+        )
+    lines.append(f"rays with both values 0: {', '.join(report['both_valued_false'])}")
+    lines.append(
+        "support co-event precludes the whole preclusion family: "
+        f"{report['preclusive_on_pks_family']}"
+    )
+    return lines
+
+
+def _text_measure_check(report: dict) -> list[str]:
+    a, pks = report["axioms"], report["pks_zero"]
+    lines = [
+        f"hermiticity residual: {a['hermiticity']:.3e}",
+        f"additivity residual:  {a['additivity']:.3e}",
+        f"min diagonal:         {a['min_diagonal']:.3e}",
+        f"normalisation |D(O,O)-1|: {a['normalisation']:.3e}",
+        f"sum-rule residual:    {a['sum_rule']:.3e}",
+        f"preclusion family: {pks['events']} events + "
+        f"{pks['unions_sampled']} sampled disjoint unions, max norm {pks['max_norm']:.3e}",
+    ]
+    if "detector" in report:
+        det = report["detector"]
+        passes = measure.AxiomReport(*det["axioms"].values(), samples=0).passes()
+        lines.append(
+            f"detector at {det['ray']} (stage {det['position']}): sector cross term "
+            f"{det['sector_cross_term']:.3e}; axioms re-checked: {passes}"
+        )
+    return lines
+
+
+def _text_zero_scan(report: dict) -> list[str]:
+    cov = report["coverage"]
+    if cov["status"] == "covered":
+        coverage = f"covered by {' | '.join(cov['witness'])}"
+    else:
+        coverage = f"not covered within scope ({cov['scope']})"
+    lines = [
+        f"zero events with <= {report['max_fixed']} fixed rays: {report['zero_events']}"
+        + (f" (detector at {report['detector']})" if report["detector"] else ""),
+        f"provenance: {report['provenance_counts']}",
+        f"support coverage: {coverage}",
+        f"against the bare preclusion family: {report['pks_only_coverage']}",
+    ]
+    if "final_stage_construction" in report:
+        built = report["final_stage_construction"]
+        lines.append(
+            f"final-stage construction: norms {built['norm1']:.3e}, {built['norm2']:.3e}, "
+            f"disjoint via ray {built['separating_ray']}"
+        )
+    if "search" in report:
+        search = report["search"]
+        best = search["candidates"][0] if search["candidates"] else None
+        lines.append(
+            f"ordering search: {search['budget']} candidates (seed {search['seed']}); "
+            f"best: {best['label']} -> {best['status']}" if best else
+            "ordering search: no candidates"
+        )
+    return lines
+
+
+def _text_lemma_fuzz(report: dict) -> list[str]:
+    return [
+        f"classical primitivity trials: {report['trials']}, "
+        f"failures: {len(report['classical_failures'])}",
+        f"filter law on random co-events: {'ok' if report['filter_law_holds'] else 'FAILED'}",
+        f"homomorphism counts: {report['homomorphism_counts']}",
+    ]
+
+
+# command -> the text lines of its report
+TEXT = {"geometry": _text_geometry, "ks-verify": _text_ks_verify, "phi-m": _text_phi_m,
+        "measure-check": _text_measure_check, "zero-scan": _text_zero_scan,
+        "lemma-fuzz": _text_lemma_fuzz}
 
 
 # --- parser ----------------------------------------------------------------------
@@ -556,10 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report = args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         code = 2
+    else:
+        if args.format == "structured":
+            print(json.dumps(report, indent=2, default=str, sort_keys=True))
+        else:
+            print("\n".join(TEXT[report["command"]](report)))
+        code = 0 if report.get("pass", True) else 1
     if argv is None:
         sys.exit(code)
     return code

@@ -26,7 +26,6 @@ from .colourings import (
     act_on_colouring,
     gamma_p,
     gamma_p_prime,
-    pks_events,
 )
 from .rays import PERES_RAYS, RayType, apply_symmetry, symmetry_group
 
@@ -276,14 +275,6 @@ def phi_m() -> SupportCoevent:
     """The minimal co-event surviving all the preclusion events: its support
     is the Peres colouring together with its x<->y mirror."""
     return SupportCoevent((gamma_p(), gamma_p_prime()))
-
-
-def preclusive_on_pks_family(co: SupportCoevent) -> bool:
-    """Preclusive on every preclusion event and every pairwise-disjoint
-    union of them.  Evaluated through the explicit cover search."""
-    from .explorer import coverage_check
-
-    return not coverage_check(co.support, pks_events(), scope="preclusion family").covered
 
 
 @lru_cache(maxsize=2)

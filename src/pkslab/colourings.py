@@ -436,12 +436,12 @@ def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
     The forcing rules mirror the published hand proof: every ray orthogonal
     to a green ray goes red, and working down the proof table each basis in
     turn has two rays already red, forcing the third green, until the final
-    basis comes up all red.  Seeds related to the fiducial one by a cube
-    symmetry are walked down the transported table (so the mirrored seed
-    contradicts at the mirrored basis); the remaining seeds fall back to
-    forcing over all bases, with branching when forcing stalls -- either
-    way a contradiction is always reached, since no seed extends to a
-    consistent colouring.
+    basis comes up all red.  One forcing loop runs over the bases of the
+    transported table when the seed is related to the fiducial one by a cube
+    symmetry (so the mirrored seed contradicts at the mirrored basis), and
+    then, afresh, over all bases; if both stall, branching finishes the
+    proof.  Either way a contradiction is always reached, since no seed
+    extends to a consistent colouring.
     """
     window = set(seed_window())
     if set(seed) != window:
@@ -452,28 +452,22 @@ def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
         raise ValueError("seed is not consistent on the four seed bases")
 
     seed_greens = tuple(sorted(r for r, g in seed.items() if g))
-    chain = _transport_chain(seed)
-    if chain is not None:
-        trace = _walk_chain(seed, seed_greens, chain)
-        if trace is not None:
-            return trace
-
-    col = _seeded(seed)
-    steps: list[ForcedStep] = []
-    order = basis_chain()
-    try:
-        _propagate(col, steps, order)
-    except _Conflict as c:
-        return ForcedExtensionTrace(
-            seed_greens=seed_greens,
-            steps=tuple(steps),
-            contradiction=c.contradiction,
-            forced_only=True,
-            branch_nodes=0,
-        )
+    for order in filter(None, (_transport_chain(seed), basis_chain())):
+        col = _seeded(seed)
+        steps: list[ForcedStep] = []
+        try:
+            _propagate(col, steps, order)
+        except _Conflict as c:
+            return ForcedExtensionTrace(
+                seed_greens=seed_greens,
+                steps=tuple(steps),
+                contradiction=c.contradiction,
+                forced_only=True,
+                branch_nodes=0,
+            )
 
     # Forcing stalled: prove no consistent completion exists by branching.
-    consistent, nodes, found = _branch(col, order)
+    consistent, nodes, found = _branch(col, basis_chain())
     if consistent:
         raise AssertionError("seed admitted a consistent completion")
     return ForcedExtensionTrace(
@@ -483,45 +477,6 @@ def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
         forced_only=False,
         branch_nodes=nodes,
     )
-
-
-def _walk_chain(
-    seed: dict[int, bool], seed_greens: tuple[int, ...], chain: tuple[Basis, ...]
-) -> ForcedExtensionTrace | None:
-    """Walk the transported proof table: force the green choice at each of
-    the first six bases, expect the last all red.  None if the walk does
-    not fit (the caller then falls back to the general search)."""
-    col = _seeded(seed)
-    steps: list[ForcedStep] = []
-    try:
-        _propagate(col, None, ())
-        for b in chain[:-1]:
-            vals = [col[i] for i in b.indices]
-            if vals.count(_RED) == 3:
-                return ForcedExtensionTrace(
-                    seed_greens, tuple(steps),
-                    Contradiction("all-red-basis", b.indices), True, 0,
-                )
-            if vals.count(_GREEN) == 1:
-                continue  # already consistent at this turn
-            if not (vals.count(_RED) == 2 and vals.count(_UNSET) == 1):
-                return None
-            forced = b.indices[vals.index(_UNSET)]
-            reds = tuple(i for i in b.indices if i != forced)
-            col[forced] = _GREEN
-            steps.append(ForcedStep(b, reds, forced))
-            _propagate(col, None, ())
-        last = chain[-1]
-        if all(col[i] == _RED for i in last.indices):
-            return ForcedExtensionTrace(
-                seed_greens, tuple(steps),
-                Contradiction("all-red-basis", last.indices), True, 0,
-            )
-        return None
-    except _Conflict as c:
-        return ForcedExtensionTrace(
-            seed_greens, tuple(steps), c.contradiction, True, 0
-        )
 
 
 @dataclass(frozen=True)

@@ -349,12 +349,6 @@ class CoverageVerdict:
     def covered(self) -> bool:
         return self.status == "covered"
 
-    def describe(self) -> str:
-        if self.covered:
-            parts = " | ".join(e.describe() for e in self.witness)
-            return f"covered by {parts}"
-        return f"not covered within scope ({self.scope})"
-
 
 def phi_m_support() -> tuple[Colouring, Colouring]:
     return gamma_p(), gamma_p_prime()
@@ -400,10 +394,12 @@ def coverage_check(
     return CoverageVerdict("not-covered-within-scope", None, scope)
 
 
-def pks_only_coverage() -> CoverageVerdict:
-    """Coverage of {gamma_P, gamma_P'} against the bare preclusion family:
-    never covered, which is exactly why that support was chosen."""
-    return coverage_check(phi_m_support(), pks_events(), scope="preclusion family only")
+def pks_only_coverage(support: tuple[Colouring, ...]) -> CoverageVerdict:
+    """Coverage of a support against the bare preclusion family.  Never
+    covered for {gamma_P, gamma_P'}, which is exactly why that support was
+    chosen: its co-event is preclusive on every preclusion event and every
+    disjoint union of them."""
+    return coverage_check(support, pks_events(), scope="preclusion family only")
 
 
 # --- structural constructions ---------------------------------------------------
@@ -605,13 +601,6 @@ def ordering_search(
     def examine(label: str, ordering: Ordering, state: InitialState, state_desc: str):
         ctx = Context(ordering, state, threshold)
         verdict, scan = context_coverage(ctx, scan_max_fixed)
-        if ordering.ray_at[-1] == ray_index("021"):
-            # the final-stage construction always covers such orderings
-            built = last_ray_021_construction(ctx)
-            if not verdict.covered:
-                verdict = CoverageVerdict(
-                    "covered", (built.e1, built.e2), verdict.scope
-                )
         holders = int(np.count_nonzero(scan.events.holds(gp) | scan.events.holds(gpp)))
         terms = tuple((w, tuple(complex(x) for x in v)) for w, v in state.terms)
         candidates.append(

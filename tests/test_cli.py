@@ -134,6 +134,7 @@ BAD_CONFIG_FILES = [
     ("--state", {"mixed": ["weight"]}),
     ("--state", {"mixed": [{"weight": "1", "pure": [[0, 0], [1, 0], [0, 0]]}]}),
     ("--ordering", [1, 2, 3]),
+    ("--state", {"mixed": [{"weight": 1.0}]}),
 ]
 
 
@@ -195,6 +196,21 @@ def test_python_m_pkslab_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "rays: 33" in done.stdout
+
+
+def test_main_without_argv_exits_with_its_code(capsys, monkeypatch):
+    # the console script calls main() with no arguments: it reads sys.argv
+    # and ends the process itself
+    monkeypatch.setattr(sys, "argv", ["pkslab", "geometry"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert "rays: 33" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["pkslab", "lemma-fuzz", "--trials", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_measure_check_mixed_state_file(tmp_path, capsys):
@@ -298,6 +314,28 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# The text rendering of each command, byte for byte; the files in golden/ are
+# named after the arguments.
+GOLDEN_TEXT = [
+    "geometry",
+    "ks-verify",
+    "phi-m",
+    "lemma-fuzz --trials 25 --seed 3",
+    "zero-scan --max-fixed 2",
+    "zero-scan --max-fixed 2 --detector 021",
+    "zero-scan --max-fixed 1 --budget 3",
+]
+
+
+@pytest.mark.parametrize("command", GOLDEN_TEXT)
+def test_text_output_is_pinned(capsys, command):
+    argv = command.split()
+    golden = Path(__file__).parent / "golden" / ("_".join(argv).replace("--", "") + ".txt")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_structured_text_numeric_agreement(capsys):

@@ -14,13 +14,13 @@ from pkslab.coevents import (
     classical_coevents,
     is_preclusive,
     phi_m,
-    preclusive_on_pks_family,
     primitive_preclusive_coevents,
     transported_coevent,
     truth_set_is_filter,
     verify_classical_coevents,
 )
 from pkslab.colourings import Colouring, gamma_p, gamma_p_prime, pks_events
+from pkslab.explorer import pks_only_coverage
 from pkslab.measure import HomogeneousEvent
 from pkslab.rays import N_RAYS, PERES_RAYS, RayType, ray_index
 
@@ -206,9 +206,9 @@ def test_phi_m_support_and_values():
 
 
 def test_phi_m_preclusive_and_minimal():
-    assert preclusive_on_pks_family(phi_m())
+    assert not pks_only_coverage(phi_m().support).covered
     for single in (SupportCoevent((gamma_p(),)), SupportCoevent((gamma_p_prime(),))):
-        assert not preclusive_on_pks_family(single)
+        assert pks_only_coverage(single.support).covered
 
 
 def test_singleton_coevent_not_preclusive_against_pks():
@@ -235,7 +235,7 @@ def test_transported_coevent_for_every_ray(green):
         moved = transported_coevent(k, green)
         event = HomogeneousEvent.from_fixed({k: green})
         assert moved.evaluate(event) == 1
-        assert preclusive_on_pks_family(moved)
+        assert not pks_only_coverage(moved.support).covered
 
 
 def test_phi_m_itself_qualifies_as_the_001_green_transport():

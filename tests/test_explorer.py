@@ -250,7 +250,7 @@ def test_coverage_default_context_found(default_ctx):
 
 
 def test_pks_only_never_covered():
-    verdict = pks_only_coverage()
+    verdict = pks_only_coverage(phi_m_support())
     assert not verdict.covered
 
 
@@ -645,7 +645,7 @@ def test_coverage_empty_and_preclusion_family():
     assert coverage_check(support, [], "e") == reference_coverage(support, [], "e")
     pks = list(pks_events())
     want = reference_coverage(support, pks, "preclusion family only")
-    assert pks_only_coverage() == want
+    assert pks_only_coverage(phi_m_support()) == want
     assert not want.covered
 
 
