@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -101,14 +102,12 @@ def _load_state(path: str | None) -> measure.InitialState:
     raise ValueError("state file must contain 'pure' or 'mixed'")
 
 
-def _load_context(args) -> tuple[measure.Context, int | None]:
-    """The context of --ordering, --state and --threshold, and the 1-based
-    stage of the --detector ray (None without a detector)."""
-    ordering = _load_ordering(args.ordering)
-    ctx = measure.Context(ordering, _load_state(args.state), args.threshold)
-    if args.detector is None:
-        return ctx, None
-    return ctx, ordering.position_of(ray_index(args.detector)) + 1
+def _load_context(args) -> measure.Context:
+    """The context of --ordering, --state and --threshold, with a detector
+    at the stage of the --detector ray if one is named."""
+    ordering, state = _load_ordering(args.ordering), _load_state(args.state)
+    stage = None if args.detector is None else ordering.position_of(ray_index(args.detector)) + 1
+    return measure.Context(ordering, state, args.threshold, stage)
 
 
 def _axioms(a: measure.AxiomReport) -> dict:
@@ -220,10 +219,11 @@ def cmd_phi_m(args) -> dict:
 
 
 def cmd_measure_check(args) -> dict:
-    ctx, position = _load_context(args)
+    ctx = _load_context(args)
+    plain = measure.Context(ctx.ordering, ctx.state, ctx.threshold)
     rng = np.random.default_rng(args.seed)
-    axioms = measure.check_axioms(ctx, rng, samples=args.samples)
-    pks = measure.verify_pks_zero(ctx, rng)
+    axioms = measure.check_axioms(plain, rng, samples=args.samples)
+    pks = measure.verify_pks_zero(plain, rng)
     config = {
         "command": "measure-check",
         "ordering": list(ctx.ordering.labels()),
@@ -244,15 +244,14 @@ def cmd_measure_check(args) -> dict:
         },
     }
     ok = axioms.passes() and pks.all_zero
-    if position is not None:
-        det = measure.DetectedContext(ctx, position)
-        det_axioms = measure.check_axioms(det, rng, samples=args.samples)
-        g = measure.HomogeneousEvent.from_fixed({det.detected_ray: True})
-        r = measure.HomogeneousEvent.from_fixed({det.detected_ray: False})
-        cross = abs(det.decoherence(g, r))
+    if ctx.detector is not None:
+        det_axioms = measure.check_axioms(ctx, rng, samples=args.samples)
+        g = measure.HomogeneousEvent.from_fixed({ctx.detected_ray: True})
+        r = measure.HomogeneousEvent.from_fixed({ctx.detected_ray: False})
+        cross = abs(ctx.decoherence(g, r))
         report["detector"] = {
             "ray": args.detector,
-            "position": position,
+            "position": ctx.detector,
             "sector_cross_term": cross,
             "axioms": _axioms(det_axioms),
         }
@@ -262,11 +261,9 @@ def cmd_measure_check(args) -> dict:
 
 
 def cmd_zero_scan(args) -> dict:
-    ctx, position = _load_context(args)
+    ctx = _load_context(args)
     if args.budget < 0:
         raise ValueError("--budget must be non-negative")
-    if position is not None:
-        ctx = measure.DetectedContext(ctx, position)
     verdict, records = explorer.context_coverage(ctx, args.max_fixed)
     config = {
         "command": "zero-scan",
@@ -559,9 +556,15 @@ def main(argv=None) -> int:
         code = 2
     else:
         if args.format == "structured":
-            print(json.dumps(report, indent=2, default=str, sort_keys=True))
+            text = json.dumps(report, indent=2, default=str, sort_keys=True)
         else:
-            print("\n".join(TEXT[report["command"]](report)))
+            text = "\n".join(TEXT[report["command"]](report))
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone: send what is left to devnull, so that the
+            # flush at interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0 if report.get("pass", True) else 1
     if argv is None:
         sys.exit(code)

@@ -31,7 +31,7 @@ from .colourings import (
     pks_events,
 )
 from . import spin
-from .measure import Context, DetectedContext, HomogeneousEvent, InitialState, Ordering
+from .measure import Context, HomogeneousEvent, InitialState, Ordering
 from .rays import N_RAYS, PERES_RAYS, are_orthogonal, enumerate_bases, ray_index
 
 MAX_SCAN_FIXED = 8
@@ -183,7 +183,7 @@ class _Chains:
     def __init__(self, ctx):
         self.ray_at = np.array(ctx.ordering.ray_at)
         self.u = spin.ray_directions()[self.ray_at]  # by position
-        self.cut = ctx.position - 1 if isinstance(ctx, DetectedContext) else None
+        self.cut = None if ctx.detector is None else ctx.detector - 1
         terms = np.array([np.sqrt(w) * psi @ spin.CART_TO_Z.conj() for w, psi in ctx.state.terms])
         slots = np.concatenate([terms.real, terms.imag])
         self.state, self.op = (
@@ -319,8 +319,9 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
 def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     """All homogeneous events with at most `max_fixed` fixed rays whose norm
     falls below the context threshold, in a deterministic order, as a lazy
-    sequence of records.  Accepts a plain or a detected context.  Raises
-    `ValueError` if any scanned norm is non-finite: no verdict rests on it."""
+    sequence of records.  A context with a detector is scanned on its
+    detected functional.  Raises `ValueError` if any scanned norm is
+    non-finite: no verdict rests on it."""
     if not 1 <= max_fixed <= MAX_SCAN_FIXED:
         raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
     order, *columns, min_rejected = _zero_rows(ctx, max_fixed)
@@ -415,9 +416,8 @@ def basis_gap_event(
     if the colouring is red on the whole basis the product vanishes, so
     the event has measure zero while still containing the colouring.
     """
-    pos = {r: p for p, r in enumerate(ordering.ray_at)}
-    ps = sorted(pos[i] for i in basis_indices)
-    lo, hi = ps[0], ps[-1]
+    ps = ordering.positions()[list(basis_indices)]
+    lo, hi = int(ps.min()), int(ps.max())
     fixed = {}
     for p, r in enumerate(ordering.ray_at):
         if lo < p < hi and r not in basis_indices:
@@ -428,6 +428,14 @@ def basis_gap_event(
 
 def _chain_basis(name_index: int) -> tuple[int, int, int]:
     return basis_chain()[name_index - 1].indices
+
+
+def _gap_pair(
+    gp: Colouring, gpp: Colouring, ordering: Ordering
+) -> tuple[HomogeneousEvent, HomogeneousEvent]:
+    """The B11 gap event around gamma_P and the B7 gap event around gamma_P'."""
+    return (basis_gap_event(gp, _chain_basis(11), ordering),
+            basis_gap_event(gpp, _chain_basis(7), ordering))
 
 
 @dataclass(frozen=True)
@@ -451,11 +459,8 @@ def last_ray_021_construction(ctx: Context) -> LastStageConstruction:
     i021 = ray_index("021")
     if ctx.ordering.ray_at[-1] != i021:
         raise ValueError("construction requires ray 021 at position 33")
-    b11 = _chain_basis(11)
-    b7 = _chain_basis(7)
     gp, gpp = phi_m_support()
-    e1 = basis_gap_event(gp, b11, ctx.ordering)
-    e2 = basis_gap_event(gpp, b7, ctx.ordering)
+    e1, e2 = _gap_pair(gp, gpp, ctx.ordering)
     n1, n2 = ctx.norm(e1), ctx.norm(e2)
     if n1 >= ctx.threshold or n2 >= ctx.threshold:
         raise AssertionError("gap events failed to be measure zero")
@@ -484,8 +489,7 @@ def structural_threat_pairs(ctx: Context) -> list[tuple[HomogeneousEvent, Homoge
         if ctx.is_zero(e1) and ctx.is_zero(e2):
             out.append((e1, e2))
     # the full gap construction is a candidate for any ordering
-    e1 = basis_gap_event(gp, b11, ctx.ordering)
-    e2 = basis_gap_event(gpp, b7, ctx.ordering)
+    e1, e2 = _gap_pair(gp, gpp, ctx.ordering)
     if e1.is_disjoint_from(e2) and ctx.is_zero(e1) and ctx.is_zero(e2):
         out.append((e1, e2))
     return out
@@ -512,14 +516,15 @@ class SearchCandidate:
     ordering: Ordering
     state_description: str
     state_terms: tuple[tuple[float, tuple[complex, complex, complex]], ...]
+    threshold: float
     verdict: CoverageVerdict
     zero_count: int
     support_holders: int  # zero events containing either support colouring
 
-    def context(self, threshold: float = 1e-10) -> Context:
+    def context(self) -> Context:
         """Rebuild the examined context, e.g. to re-verify a witness."""
         state = InitialState([(w, list(v)) for w, v in self.state_terms])
-        return Context(self.ordering, state, threshold)
+        return Context(self.ordering, state, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -605,7 +610,7 @@ def ordering_search(
         terms = tuple((w, tuple(complex(x) for x in v)) for w, v in state.terms)
         candidates.append(
             SearchCandidate(
-                label, ordering, state_desc, terms, verdict, len(scan), holders
+                label, ordering, state_desc, terms, threshold, verdict, len(scan), holders
             )
         )
 

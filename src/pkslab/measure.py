@@ -6,7 +6,9 @@ spin state.  Homogeneous events (fixed colours on a subset of rays, free
 elsewhere) admit an exact shortcut: the free projectors sum to the
 identity, so the event state is just the product of the fixed projectors
 in position order.  The decoherence functional is the inner product of
-event states (a convex combination of those terms for a mixed state).
+event states (a convex combination of those terms for a mixed state).  A
+context may carry a detector at one stage; its functional is then the sum
+of the two functionals restricted to the detected ray's colour sectors.
 """
 
 from __future__ import annotations
@@ -124,24 +126,16 @@ def as_union(event) -> EventUnion:
     raise TypeError(f"cannot interpret {event!r} as an event")
 
 
-class _Functional:
-    """Measure, norm and zero test from a `decoherence(a, b)` method."""
+class Context:
+    """A decoherence functional: an ordering of the rays, an initial state
+    and, optionally, a detector.
 
-    def measure(self, a) -> float:
-        return float(self.decoherence(a, a).real)
-
-    def norm(self, a) -> float:
-        """Square root of the measure (the event-state norm for a pure state)."""
-        return float(np.sqrt(max(self.measure(a), 0.0)))
-
-    def is_zero(self, a) -> bool:
-        return self.norm(a) < self.threshold
-
-
-class Context(_Functional):
-    """A decoherence functional: an ordering of the rays plus an initial state.
-
-    Pure and immutable; evaluations are safe to run concurrently.
+    A detector at stage `detector` (1-based) sits in both beams of that
+    stage.  Coherence between the green and red sectors of the detected ray
+    is destroyed: the functional becomes the sum of the two
+    sector-restricted functionals, so events differing in that ray's colour
+    decohere exactly.  Pure and immutable; evaluations are safe to run
+    concurrently.
     """
 
     def __init__(
@@ -149,12 +143,17 @@ class Context(_Functional):
         ordering: Ordering | None = None,
         state: InitialState | None = None,
         threshold: float = DEFAULT_THRESHOLD,
+        detector: int | None = None,
     ):
         self.ordering = ordering or Ordering.default()
         self.state = state or InitialState.default()
         if not (math.isfinite(threshold) and threshold > 0):
             raise ValueError("threshold must be positive and finite")
         self.threshold = float(threshold)
+        if detector is not None and not 1 <= detector <= N_RAYS:
+            raise ValueError("detector position must be in 1..33")
+        self.detector = detector
+        self.detected_ray = None if detector is None else self.ordering.ray_at[detector - 1]
         # position of each ray in the chain, for collapsing free projectors
         self._position = {r: p for p, r in enumerate(self.ordering.ray_at)}
 
@@ -184,12 +183,32 @@ class Context(_Functional):
 
     # -- the functional ---------------------------------------------------------
 
-    def decoherence(self, a, b) -> complex:
-        ua, ub = as_union(a), as_union(b)
+    def _coherent(self, ua: EventUnion, ub: EventUnion) -> complex:
         out = 0j
         for w, psi in self.state.terms:
             out += w * np.vdot(self._union_state(ua, psi), self._union_state(ub, psi))
         return complex(out)
+
+    def _sector(self, union: EventUnion, green: bool) -> EventUnion:
+        cuts = (e.with_fixed(self.detected_ray, green) for e in union.members)
+        return EventUnion(tuple(e for e in cuts if e is not None))
+
+    def decoherence(self, a, b) -> complex:
+        ua, ub = as_union(a), as_union(b)
+        if self.detector is None:
+            return self._coherent(ua, ub)
+        sectors = [(self._sector(ua, g), self._sector(ub, g)) for g in (False, True)]
+        return complex(sum((self._coherent(x, y) for x, y in sectors), 0j))
+
+    def measure(self, a) -> float:
+        return float(self.decoherence(a, a).real)
+
+    def norm(self, a) -> float:
+        """Square root of the measure (the event-state norm for a pure state)."""
+        return float(np.sqrt(max(self.measure(a), 0.0)))
+
+    def is_zero(self, a) -> bool:
+        return self.norm(a) < self.threshold
 
 
 def truncated_path_states(
@@ -275,34 +294,6 @@ def verify_pks_zero(ctx: Context, rng=None, union_samples: int = 25) -> PksZeroR
     return PksZeroReport(tuple(entries), tuple(unions), ctx.threshold)
 
 
-class DetectedContext(_Functional):
-    """The measure after inserting detectors in both beams of one stage.
-
-    Coherence between the green and red sectors of the detected ray is
-    destroyed: the functional becomes the sum of the two sector-restricted
-    functionals, so events differing in that ray's colour decohere exactly.
-    """
-
-    def __init__(self, base: Context, position: int):
-        if not 1 <= position <= N_RAYS:
-            raise ValueError("detector position must be in 1..33")
-        self.base = base
-        self.position = position
-        self.detected_ray = base.ordering.ray_at[position - 1]
-        self.ordering = base.ordering
-        self.state = base.state
-        self.threshold = base.threshold
-
-    def _sector(self, union: EventUnion, green: bool) -> EventUnion:
-        cuts = (e.with_fixed(self.detected_ray, green) for e in union.members)
-        return EventUnion(tuple(e for e in cuts if e is not None))
-
-    def decoherence(self, a, b) -> complex:
-        ua, ub = as_union(a), as_union(b)
-        sectors = [(self._sector(ua, g), self._sector(ub, g)) for g in (False, True)]
-        return complex(sum((self.base.decoherence(x, y) for x, y in sectors), 0j))
-
-
 # --- sampling helpers shared by the check commands and the test suite ----------
 
 
@@ -344,8 +335,8 @@ class AxiomReport:
 
 def check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
     """Residuals of the decoherence-functional axioms and of the three-set
-    interference sum rule, over random homogeneous events.  Works on plain
-    and detected contexts alike.  Residuals are aggregated so that a NaN
+    interference sum rule, over random homogeneous events, for any context,
+    with or without a detector.  Residuals are aggregated so that a NaN
     anywhere shows in the report (and fails `passes`) instead of vanishing.
     At least one sample and one sum-rule trial are required: residuals over
     no events would pass with no evidence."""

@@ -278,7 +278,7 @@ def test_criterion_14_detector_insertion():
     ctx = Context()
     rng = np.random.default_rng(14)
     i021 = ray_index("021")
-    det = measure.DetectedContext(ctx, ctx.ordering.position_of(i021) + 1)
+    det = Context(detector=ctx.ordering.position_of(i021) + 1)
     g = HomogeneousEvent.from_fixed({i021: True})
     r = HomogeneousEvent.from_fixed({i021: False})
     assert det.decoherence(g, r) == 0

@@ -187,15 +187,32 @@ def test_checks_without_samples_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_python_m_pkslab_runs_the_cli():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this pkslab."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(pkslab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_pkslab_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "pkslab", "geometry"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert "rays: 33" in done.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that goes away before the report is written (`pkslab geometry
+    # | head -0`) costs the report, not a traceback or the exit code
+    with subprocess.Popen(
+        [sys.executable, "-m", "pkslab", "geometry"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    ) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_main_without_argv_exits_with_its_code(capsys, monkeypatch):

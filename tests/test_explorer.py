@@ -30,7 +30,6 @@ from pkslab.explorer import (
 from pkslab.coevents import phi_m
 from pkslab.measure import (
     Context,
-    DetectedContext,
     HomogeneousEvent,
     InitialState,
     Ordering,
@@ -60,9 +59,10 @@ def reference_sector_chains(ctx, event):
     """The (position, ray, green) chains whose states sum to the event's
     measure: the event's own chain in a plain context; in a detected one, the
     event with the detected ray fixed in each colour it allows."""
-    if isinstance(ctx, DetectedContext):
+    if ctx.detector is not None:
+        plain = Context(ctx.ordering, ctx.state, ctx.threshold)
         cuts = (event.with_fixed(ctx.detected_ray, green) for green in (False, True))
-        return [reference_sector_chains(ctx.base, cut)[0] for cut in cuts if cut is not None]
+        return [reference_sector_chains(plain, cut)[0] for cut in cuts if cut is not None]
     pos = ctx.ordering.position_of
     return [sorted((pos(i), i, g) for i, g in event.fixed.items())]
 
@@ -163,9 +163,8 @@ def test_classification_examples(default_ctx):
     ],
 )
 def test_depth3_provenance_split(default_ctx, detector, expected):
-    ctx = default_ctx
-    if detector is not None:
-        ctx = DetectedContext(ctx, ctx.ordering.position_of(ray_index(detector)) + 1)
+    stage = None if detector is None else default_ctx.ordering.position_of(ray_index(detector)) + 1
+    ctx = Context(detector=stage)
     assert provenance_counts(scan_zero_events(ctx, 3)) == expected
 
 
@@ -183,11 +182,9 @@ def _classification_contexts():
     base = Context()
     return {
         "plain": base,
-        "detected-021": DetectedContext(base, base.ordering.position_of(ray_index("021")) + 1),
+        "detected-021": Context(detector=base.ordering.position_of(ray_index("021")) + 1),
         "random-mixed": Context(random_ordering(rng), random_mixed_state(rng)),
-        "random-mixed-detected": DetectedContext(
-            Context(random_ordering(rng), random_mixed_state(rng)), 20
-        ),
+        "random-mixed-detected": Context(random_ordering(rng), random_mixed_state(rng), detector=20),
     }
 
 
@@ -228,7 +225,7 @@ def test_detector_keeps_the_adjacency_test(rng):
     own = [has_adjacent_green_pair(reference_sector_chains(base, e)[0]) for e in events]
     assert any(own) and not all(own)
     for position in range(1, N_RAYS + 1):
-        det = DetectedContext(base, position)
+        det = Context(detector=position)
         for e, has_pair in zip(events, own):
             sectors = reference_sector_chains(det, e)
             assert all(has_adjacent_green_pair(c) for c in sectors) == has_pair
@@ -346,6 +343,21 @@ def test_ordering_search_deterministic_and_probe_covered():
     assert ranks == sorted(ranks)
 
 
+def test_search_candidates_rebuild_the_examined_threshold():
+    # witnesses found under a coarse threshold are zero only under that
+    # threshold: the rebuilt context must carry it
+    report = ordering_search(6, seed=0, threshold=0.05, strategy="mixed")
+    covered = [c for c in report.candidates if c.verdict.covered]
+    assert {"separating-4", "random-2"} <= {c.label for c in covered}
+    for c in covered:
+        ctx = c.context()
+        assert ctx.threshold == 0.05
+        assert all(ctx.is_zero(e) for e in c.verdict.witness), c.label
+    sep = next(c for c in covered if c.label == "separating-4")
+    fine = Context(sep.ordering, sep.context().state)
+    assert not all(fine.is_zero(e) for e in sep.verdict.witness)
+
+
 def test_ordering_search_structural_strategy():
     report = ordering_search(8, seed=1, scan_max_fixed=2, strategy="structural")
     assert report.strategy == "structural"
@@ -374,7 +386,7 @@ def test_detected_scan_and_coverage(default_ctx):
     events whose product straddles the detected stage) but the support of
     the surviving co-event stays covered for the default context."""
     i021 = ray_index("021")
-    det = DetectedContext(default_ctx, default_ctx.ordering.position_of(i021) + 1)
+    det = Context(detector=default_ctx.ordering.position_of(i021) + 1)
     records = scan_zero_events(det, 2)
     counts = provenance_counts(records)
     assert counts["pks"] == 57  # 15 of the 72 pair events gained measure
@@ -389,10 +401,7 @@ def test_detected_scan_and_coverage(default_ctx):
 def level_norms(ctx, events, max_fixed=4):
     """The scan's norms for the events: under a threshold above every norm
     the level-wise evaluator keeps every event it walks, zero or not."""
-    base = getattr(ctx, "base", ctx)
-    wide = Context(base.ordering, base.state, threshold=10.0)
-    if isinstance(ctx, DetectedContext):
-        wide = DetectedContext(wide, ctx.position)
+    wide = Context(ctx.ordering, ctx.state, threshold=10.0, detector=ctx.detector)
     scan = scan_zero_events(wide, max_fixed)
     assert len(scan) == sum(math.comb(N_RAYS, k) << k for k in range(1, max_fixed + 1))
     green, red = scan.events.green, scan.events.red
@@ -427,8 +436,8 @@ def test_level_norms_agree_with_scalar_route(rng):
 
 def test_detected_level_norms_agree_with_scalar(default_ctx, rng):
     contexts = [
-        DetectedContext(default_ctx, 12),
-        DetectedContext(Context(random_ordering(rng), random_mixed_state(rng)), 20),
+        Context(detector=12),
+        Context(random_ordering(rng), random_mixed_state(rng), detector=20),
     ]
     for det in contexts:
         _assert_level_norms_match_scalar(det, _norm_check_events(det, rng, 80))
@@ -550,7 +559,7 @@ def _provenance_contexts():
     base = Context()
     return {
         "default": base,
-        "detected-021": DetectedContext(base, base.ordering.position_of(ray_index("021")) + 1),
+        "detected-021": Context(detector=base.ordering.position_of(ray_index("021")) + 1),
         "random-mixed": Context(random_ordering(rng), random_mixed_state(rng)),
     }
 

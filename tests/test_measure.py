@@ -11,7 +11,6 @@ from pkslab.measure import (
     HomogeneousEvent,
     InitialState,
     Ordering,
-    DetectedContext,
     check_axioms,
     event_state_by_completion,
     random_disjoint_triple,
@@ -187,8 +186,9 @@ def test_pks_zero_for_default_and_random_contexts(rng):
 
 def test_detector_decoheres_sectors(default_ctx):
     i021 = ray_index("021")
-    det = DetectedContext(default_ctx, default_ctx.ordering.position_of(i021) + 1)
+    det = Context(detector=default_ctx.ordering.position_of(i021) + 1)
     assert det.detected_ray == i021
+    assert default_ctx.detector is None and default_ctx.detected_ray is None
     g = HomogeneousEvent.from_fixed({i021: True})
     r = HomogeneousEvent.from_fixed({i021: False})
     assert det.decoherence(g, r) == 0
@@ -201,7 +201,7 @@ def test_detector_shifts_preclusion_zeros(default_ctx):
     # with coherence at ray 021 destroyed, the all-red event on the basis
     # {201, 010, m102} picks up measure 4/9 for the default state
     i021 = ray_index("021")
-    det = DetectedContext(default_ctx, default_ctx.ordering.position_of(i021) + 1)
+    det = Context(detector=default_ctx.ordering.position_of(i021) + 1)
     b7 = HomogeneousEvent.from_fixed(
         {ray_index("201"): False, ray_index("010"): False, ray_index("m102"): False}
     )
@@ -214,17 +214,46 @@ def test_detector_shifts_preclusion_zeros(default_ctx):
 
 
 def test_detected_functional_still_satisfies_axioms(rng):
-    ctx = Context(random_ordering(rng), random_pure_state(rng))
-    det = DetectedContext(ctx, 10)
+    det = Context(random_ordering(rng), random_pure_state(rng), detector=10)
     report = check_axioms(det, rng, samples=40, sum_rule_trials=60)
     assert report.passes()
 
 
-def test_detector_position_validation(default_ctx):
+def test_detected_functional_is_the_sector_sum(rng):
+    """With a detector at stage 10 the functional is, bit for bit, the plain
+    functional on the red restrictions plus that on the green ones, summed
+    from 0j, for a mixed state, on homogeneous events and on a union."""
+    ordering, state = random_ordering(rng), random_mixed_state(rng, terms=3)
+    plain, det = Context(ordering, state), Context(ordering, state, detector=10)
+    ray = ordering.ray_at[9]
+    other = (ray + 1) % N_RAYS
+
+    def restrict(event, green):
+        members = event.members if isinstance(event, EventUnion) else (event,)
+        cuts = (e.with_fixed(ray, green) for e in members)
+        return EventUnion(tuple(e for e in cuts if e is not None))
+
+    events = [random_homogeneous_event(rng, max_fixed=4) for _ in range(40)] + [
+        HomogeneousEvent.from_fixed({ray: g, other: h}) for g in (False, True) for h in (False, True)
+    ]
+    union = EventUnion((
+        HomogeneousEvent.from_fixed({ray: True}),
+        HomogeneousEvent.from_fixed({ray: False, other: True}),
+    ))
+    pairs = list(zip(events, events[1:])) + [(union, e) for e in events] + [(union, union)]
+    for a, b in pairs:
+        expect = 0j + plain.decoherence(restrict(a, False), restrict(b, False))
+        expect += plain.decoherence(restrict(a, True), restrict(b, True))
+        assert det.decoherence(a, b) == expect
+    assert any(det.decoherence(a, b) != plain.decoherence(a, b) for a, b in pairs)
+
+
+def test_detector_position_validation():
     with pytest.raises(ValueError):
-        DetectedContext(default_ctx, 0)
+        Context(detector=0)
     with pytest.raises(ValueError):
-        DetectedContext(default_ctx, 34)
+        Context(detector=34)
+    assert Context(detector=33).detected_ray == Ordering.default().ray_at[32]
 
 
 def test_random_triple_is_pairwise_disjoint(rng):
