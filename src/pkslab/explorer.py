@@ -6,7 +6,9 @@ witness: a zero event containing both support colourings, or a disjoint
 pair of zero events containing one each (for a two-element support no
 larger family is ever needed).  A "not covered" verdict is always
 qualified by the scan scope, since only homogeneous events with a bounded
-number of fixed rays are examined; whether some ordering and state make
+number of fixed rays and a few structural constructions are examined.
+The constructions enter as plain zero events, so `coverage_check` is the
+one place where events are paired.  Whether some ordering and state make
 the co-event preclusive outright is an open question this module collects
 evidence on, not a theorem it can decide.
 """
@@ -92,13 +94,11 @@ class EventArray(Sequence):
 
     @classmethod
     def of(cls, events) -> "EventArray":
-        """The mask columns of any iterable of events or zero-event records;
-        an `EventArray` or a `ZeroScan` passes its columns straight through."""
-        if isinstance(events, ZeroScan):
-            return events.events
+        """The mask columns of an iterable of events; an `EventArray` passes
+        straight through."""
         if isinstance(events, cls):
             return events
-        events = [e.event if isinstance(e, ZeroEventRecord) else e for e in events]
+        events = list(events)
         return cls([e.green_mask for e in events], [e.red_mask for e in events])
 
     def holds(self, c: Colouring) -> np.ndarray:
@@ -365,8 +365,8 @@ def coverage_check(
     covering disjoint family can always be thinned to at most two events,
     so the pair search is complete within the supplied zero list.
 
-    `zero_events` is any iterable of events or zero-event records; a
-    `ZeroScan` or `EventArray` is decided on its mask columns directly.
+    `zero_events` is an iterable of events or an `EventArray`, which is
+    decided on its mask columns directly (a scan passes `scan.events`).
     A holder of one colouring agrees with it on every ray it fixes, so two
     holders of different colourings are disjoint exactly when both fix a
     ray where the colourings disagree (the disagreement mask D; four rays
@@ -471,34 +471,30 @@ def last_ray_021_construction(ctx: Context) -> LastStageConstruction:
     return LastStageConstruction(e1, e2, n1, n2, separating_ray=i021)
 
 
-def structural_threat_pairs(ctx: Context) -> list[tuple[HomogeneousEvent, HomogeneousEvent]]:
-    """Candidate covering pairs built from the B11/B7 red events plus one
-    ray where the two support colourings disagree.  Each candidate is kept
-    only if both halves are numerically zero and the halves are disjoint."""
+def structural_threat_pairs(ctx: Context) -> EventArray:
+    """The structural candidates whose norm falls below the context
+    threshold, in order: for each ray where the support colourings disagree
+    (in ray order), gamma_P on B11 plus that ray and gamma_P' on B7 plus
+    that ray; then the B11/B7 gap pair.  Each is tested once on its own:
+    which of them pair into a cover is for `coverage_check` alone."""
     gp, gpp = phi_m_support()
-    b11, b7 = _chain_basis(11), _chain_basis(7)
-    differing = [
-        i for i in range(N_RAYS) if gp.is_green(i) != gpp.is_green(i)
+    b11, b7 = set(_chain_basis(11)), set(_chain_basis(7))
+    candidates = [
+        e
+        for w in range(N_RAYS)
+        if gp.is_green(w) != gpp.is_green(w)
+        for e in (HomogeneousEvent.agreeing_with(gp, b11 | {w}),
+                  HomogeneousEvent.agreeing_with(gpp, b7 | {w}))
     ]
-    out = []
-    for w in differing:
-        e1 = HomogeneousEvent.agreeing_with(gp, set(b11) | {w})
-        e2 = HomogeneousEvent.agreeing_with(gpp, set(b7) | {w})
-        if not e1.is_disjoint_from(e2):
-            continue
-        if ctx.is_zero(e1) and ctx.is_zero(e2):
-            out.append((e1, e2))
-    # the full gap construction is a candidate for any ordering
-    e1, e2 = _gap_pair(gp, gpp, ctx.ordering)
-    if e1.is_disjoint_from(e2) and ctx.is_zero(e1) and ctx.is_zero(e2):
-        out.append((e1, e2))
-    return out
+    candidates += _gap_pair(gp, gpp, ctx.ordering)
+    return EventArray.of([e for e in candidates if ctx.is_zero(e)])
 
 
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
-    """Scan plus structural constructions, then the coverage decision."""
+    """The scan's zeros and the zero structural candidates, as plain zero
+    events, then the coverage decision on them all."""
     scan = scan_zero_events(ctx, max_fixed)
-    built = EventArray.of(e for pair in structural_threat_pairs(ctx) for e in pair)
+    built = structural_threat_pairs(ctx)
     events = EventArray(
         np.concatenate([scan.events.green, built.green]),
         np.concatenate([scan.events.red, built.red]),

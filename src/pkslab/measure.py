@@ -183,22 +183,31 @@ class Context:
 
     # -- the functional ---------------------------------------------------------
 
-    def _coherent(self, ua: EventUnion, ub: EventUnion) -> complex:
-        out = 0j
-        for w, psi in self.state.terms:
-            out += w * np.vdot(self._union_state(ua, psi), self._union_state(ub, psi))
-        return complex(out)
-
     def _sector(self, union: EventUnion, green: bool) -> EventUnion:
         cuts = (e.with_fixed(self.detected_ray, green) for e in union.members)
         return EventUnion(tuple(e for e in cuts if e is not None))
 
     def decoherence(self, a, b) -> complex:
-        ua, ub = as_union(a), as_union(b)
-        if self.detector is None:
-            return self._coherent(ua, ub)
-        sectors = [(self._sector(ua, g), self._sector(ub, g)) for g in (False, True)]
-        return complex(sum((self._coherent(x, y) for x, y in sectors), 0j))
+        """D(a, b): per sector (red, then green, under a detector) the
+        weighted sum over mixture terms of <a's state, b's state>.  The union
+        states of `a` are built once per sector and term, and reused for `b`
+        when `b is a`."""
+        ua = as_union(a)
+        ub = ua if b is a else as_union(b)
+        sectors = [(ua, ub)]
+        if self.detector is not None:
+            sectors = []
+            for g in (False, True):
+                xa = self._sector(ua, g)
+                sectors.append((xa, xa if ub is ua else self._sector(ub, g)))
+        sums = []
+        for xa, xb in sectors:
+            out = 0j
+            for w, psi in self.state.terms:
+                va = self._union_state(xa, psi)
+                out += w * np.vdot(va, va if xb is xa else self._union_state(xb, psi))
+            sums.append(complex(out))
+        return sums[0] if self.detector is None else complex(sum(sums, 0j))
 
     def measure(self, a) -> float:
         return float(self.decoherence(a, a).real)

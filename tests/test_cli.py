@@ -80,7 +80,6 @@ def test_measure_check_with_detector(capsys):
         capsys, "measure-check", "--samples", "20", "--detector", "021"
     )
     assert code == 0
-    assert report["detector"]["sector_cross_term"] == 0
     assert report["detector"]["position"] == 12
 
 

@@ -607,18 +607,53 @@ def test_coverage_matches_the_pair_loop_reference():
     statuses = set()
     for name, ctx in _coverage_cases().items():
         scan = scan_zero_events(ctx, 2)
-        events = list(scan.events) + [e for pair in structural_threat_pairs(ctx) for e in pair]
+        events = list(scan.events) + list(structural_threat_pairs(ctx))
         want = reference_coverage(support, events, "s")
         assert coverage_check(support, events, "s") == want, name
         verdict, _ = context_coverage(ctx, 2)
         assert (verdict.status, verdict.witness) == (want.status, want.witness), name
-        # records, an event-array sequence and a scan decide alike
-        assert coverage_check(support, list(scan), "s") == reference_coverage(support, scan, "s")
-        assert coverage_check(support, scan, "s") == coverage_check(support, scan.events, "s")
+        # an event list and the scan's event columns decide alike
+        on_scan = reference_coverage(support, scan, "s")
+        assert coverage_check(support, list(scan.events), "s") == on_scan
+        assert coverage_check(support, scan.events, "s") == on_scan
         for one in support:
-            assert coverage_check((one,), scan, "s") == reference_coverage((one,), scan, "s")
+            assert coverage_check((one,), scan.events, "s") == reference_coverage((one,), scan, "s")
         statuses.add(want.status)
     assert statuses == {"covered", "not-covered-within-scope"}
+
+
+# An ordering and pure state under which gamma_P' on B7 + {1m12} is zero
+# (norm 4.0e-16) while gamma_P on B11 + {1m12} is not (norm 0.38).
+LONE_CANDIDATE_ORDERING = (
+    "210 20m1 100 1m12 10m1 001 011 0m12 2m1m1 201 02m1 12m1 121 m120 21m1 101 012 "
+    "2m10 1m10 m112 021 110 2m11 211 120 01m1 m12m1 102 m102 m1m12 112 m121 010"
+).split()
+LONE_CANDIDATE_STATE = (
+    0.10493687952080007 - 0.48760916541810834j,
+    0.2844855201755035 + 0.6203821331329867j,
+    0.14199346952007372 - 0.5150314606217593j,
+)
+
+
+def test_a_zero_construction_needs_no_zero_partner():
+    """A zero structural candidate reaches the coverage decision on its own:
+    here it pairs with the depth-3 scan zero {012=g, 0m12=r, 1m12=g}."""
+    from pkslab.colourings import basis_chain
+
+    ctx = Context(Ordering.from_labels(LONE_CANDIDATE_ORDERING),
+                  InitialState.pure(LONE_CANDIDATE_STATE))
+    gp, gpp = phi_m_support()
+    w = ray_index("1m12")
+    lone = HomogeneousEvent.agreeing_with(gpp, set(basis_chain()[6].indices) | {w})
+    partner = HomogeneousEvent.agreeing_with(gp, set(basis_chain()[10].indices) | {w})
+    assert lone in list(structural_threat_pairs(ctx))
+    assert not ctx.is_zero(partner)
+    verdict, _ = context_coverage(ctx, 3)
+    assert verdict.covered
+    witness = verdict.witness
+    assert all(ctx.norm(e) < ctx.threshold for e in witness)
+    assert all(a.is_disjoint_from(b) for a, b in itertools.combinations(witness, 2))
+    assert all(any(e.contains(c) for e in witness) for c in (gp, gpp))
 
 
 def _support_holder_events(rng, n):

@@ -248,6 +248,35 @@ def test_detected_functional_is_the_sector_sum(rng):
     assert any(det.decoherence(a, b) != plain.decoherence(a, b) for a, b in pairs)
 
 
+def test_measure_builds_each_state_once(monkeypatch, rng):
+    """`measure(a)` is `decoherence(a, a)`, and it builds one state per
+    member and mixture term; under a detector, one per non-empty sector
+    member and term (two sectors for a member free on the detected ray, one
+    for a member fixing it)."""
+    built = []
+    original = Context.event_state
+
+    def counting(self, event, psi):
+        built.append(event)
+        return original(self, event, psi)
+
+    monkeypatch.setattr(Context, "event_state", counting)
+    ordering, state = random_ordering(rng), random_mixed_state(rng, terms=3)
+    triple = EventUnion((
+        HomogeneousEvent.from_fixed({0: True, 1: True}),
+        HomogeneousEvent.from_fixed({0: False, 1: True}),
+        HomogeneousEvent.from_fixed({0: True, 1: False}),
+    ))
+    single = HomogeneousEvent.from_fixed({2: True, 3: False})
+    plain = Context(ordering, state)
+    det = Context(ordering, state, detector=ordering.position_of(0) + 1)
+    for ctx, event, states in ((plain, single, 3), (plain, triple, 9),
+                               (det, single, 6), (det, triple, 9)):
+        built.clear()
+        ctx.measure(event)
+        assert len(built) == states
+
+
 def test_detector_position_validation():
     with pytest.raises(ValueError):
         Context(detector=0)
