@@ -16,6 +16,7 @@ can decide which colourings they contain.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,6 +139,8 @@ class ClassicalMeasure:
 
     def __init__(self, weights):
         w = tuple(float(x) for x in weights)
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError("weights must be finite")
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
         if abs(sum(w) - 1.0) > 1e-9:
@@ -150,7 +153,12 @@ class ClassicalMeasure:
 
     def zero_events(self, tol: float = 1e-10) -> tuple[int, ...]:
         _check_n(self.n)
-        return tuple(e for e in range(1 << self.n) if self.value(e) < tol)
+        # doubling table: values[e] adds the weights of e's members in
+        # ascending index order from 0.0, as `value` does
+        values = np.zeros(1 << self.n)
+        for k, w in enumerate(self.weights):
+            values[1 << k : 2 << k] = values[: 1 << k] + w
+        return tuple(int(e) for e in np.flatnonzero(values < tol))
 
 
 class GramMeasure:
@@ -166,6 +174,8 @@ class GramMeasure:
         self.vectors = np.asarray(vectors, dtype=complex)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be an (n, d) array")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("vectors must be finite")
         self.n = self.vectors.shape[0]
         total = self.vectors.sum(axis=0)
         if abs(np.vdot(total, total).real - 1.0) > 1e-10:

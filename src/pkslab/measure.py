@@ -9,6 +9,12 @@ in position order.  The decoherence functional is the inner product of
 event states (a convex combination of those terms for a mixed state).  A
 context may carry a detector at one stage; its functional is then the sum
 of the two functionals restricted to the detected ray's colour sectors.
+
+Each context memoises the states of the homogeneous events it evaluates:
+per sector and mixture term, built once and read-only.  The functional of
+a union sums its members' memoised states, so a member shared by many
+unions, or evaluated again, costs a dictionary lookup.  The memo is
+cleared when it reaches `STATE_MEMO_CAP` events.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .rays import N_RAYS, PERES_RAYS, ray_index
 from .spin import ray_projector
 
 DEFAULT_THRESHOLD = 1e-10
+# A context forgets its memoised event states once it holds this many events.
+STATE_MEMO_CAP = 2**14
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,13 @@ class InitialState:
         return len(self.terms) == 1
 
 
+def _overlapping_pair(members) -> tuple[HomogeneousEvent, HomogeneousEvent] | None:
+    """The first two members that no ray separates, or None if the members
+    are pairwise syntactically disjoint."""
+    pairs = itertools.combinations(members, 2)
+    return next(((a, b) for a, b in pairs if not a.is_disjoint_from(b)), None)
+
+
 @dataclass(frozen=True)
 class EventUnion:
     """A disjoint union of homogeneous events.
@@ -107,22 +122,23 @@ class EventUnion:
     members: tuple[HomogeneousEvent, ...]
 
     def __post_init__(self) -> None:
-        for a, b in itertools.combinations(self.members, 2):
-            if not a.is_disjoint_from(b):
-                raise ValueError(
-                    f"members overlap (no ray separates {a.describe()} "
-                    f"and {b.describe()})"
-                )
+        pair = _overlapping_pair(self.members)
+        if pair is not None:
+            a, b = pair
+            raise ValueError(
+                f"members overlap (no ray separates {a.describe()} and {b.describe()})"
+            )
 
     def contains(self, c: Colouring) -> bool:
         return any(e.contains(c) for e in self.members)
 
 
-def as_union(event) -> EventUnion:
+def _members(event) -> tuple[HomogeneousEvent, ...]:
+    """The homogeneous members of an event or of a disjoint union."""
     if isinstance(event, EventUnion):
-        return event
+        return event.members
     if isinstance(event, HomogeneousEvent):
-        return EventUnion((event,))
+        return (event,)
     raise TypeError(f"cannot interpret {event!r} as an event")
 
 
@@ -134,8 +150,13 @@ class Context:
     stage.  Coherence between the green and red sectors of the detected ray
     is destroyed: the functional becomes the sum of the two
     sector-restricted functionals, so events differing in that ray's colour
-    decohere exactly.  Pure and immutable; evaluations are safe to run
-    concurrently.
+    decohere exactly.
+
+    The context memoises, per homogeneous event, its states in each sector
+    (the whole space, or red then green under a detector) and mixture term;
+    it forgets them all once it holds `STATE_MEMO_CAP` events.  Its
+    configuration never changes, so evaluations may run concurrently: two
+    threads may build the same state twice, with equal values.
     """
 
     def __init__(
@@ -156,6 +177,7 @@ class Context:
         self.detected_ray = None if detector is None else self.ordering.ray_at[detector - 1]
         # position of each ray in the chain, for collapsing free projectors
         self._position = {r: p for p, r in enumerate(self.ordering.ray_at)}
+        self._states: dict[HomogeneousEvent, tuple[list[np.ndarray] | None, ...]] = {}
 
     # -- states ---------------------------------------------------------------
 
@@ -178,34 +200,60 @@ class Context:
             v = ray_projector(ray, green) @ v
         return v
 
-    def _union_state(self, union: EventUnion, psi: np.ndarray) -> np.ndarray:
-        return sum((self.event_state(e, psi) for e in union.members), np.zeros(3, dtype=complex))
+    def _term_states(self, event: HomogeneousEvent) -> list[np.ndarray]:
+        """`event_state` of the event for each mixture term, in term order,
+        with the chain computed once; the arrays are read-only."""
+        chain = [ray_projector(ray, green) for ray, green in self._chain(event)]
+        out = []
+        for _, psi in self.state.terms:
+            v = np.array(psi, dtype=complex)
+            for p in chain:
+                v = p @ v
+            v.flags.writeable = False
+            out.append(v)
+        return out
+
+    def _sector_states(self, event: HomogeneousEvent) -> tuple[list[np.ndarray] | None, ...]:
+        """Per sector (the whole space, or red then green under a detector),
+        the term states of the event's restriction, or None where the
+        restriction is empty.  Memoised per event; see `STATE_MEMO_CAP`."""
+        states = self._states.get(event)
+        if states is None:
+            if self.detector is None:
+                cuts = (event,)
+            else:
+                cuts = tuple(event.with_fixed(self.detected_ray, g) for g in (False, True))
+            states = tuple(None if e is None else self._term_states(e) for e in cuts)
+            if len(self._states) >= STATE_MEMO_CAP:
+                self._states.clear()
+            self._states[event] = states
+        return states
+
+    def _union_states(self, event) -> list[list[np.ndarray]]:
+        """Per sector and mixture term, the sum of the member states of an
+        event or union from zero, in member order."""
+        members = [self._sector_states(e) for e in _members(event)]
+        return [
+            [
+                sum((m[s][t] for m in members if m[s] is not None), np.zeros(3, dtype=complex))
+                for t in range(len(self.state.terms))
+            ]
+            for s in range(1 if self.detector is None else 2)
+        ]
 
     # -- the functional ---------------------------------------------------------
-
-    def _sector(self, union: EventUnion, green: bool) -> EventUnion:
-        cuts = (e.with_fixed(self.detected_ray, green) for e in union.members)
-        return EventUnion(tuple(e for e in cuts if e is not None))
 
     def decoherence(self, a, b) -> complex:
         """D(a, b): per sector (red, then green, under a detector) the
         weighted sum over mixture terms of <a's state, b's state>.  The union
-        states of `a` are built once per sector and term, and reused for `b`
-        when `b is a`."""
-        ua = as_union(a)
-        ub = ua if b is a else as_union(b)
-        sectors = [(ua, ub)]
-        if self.detector is not None:
-            sectors = []
-            for g in (False, True):
-                xa = self._sector(ua, g)
-                sectors.append((xa, xa if ub is ua else self._sector(ub, g)))
+        states of `a` are reused for `b` when `b is a`."""
+        sa = self._union_states(a)
+        sb = sa if b is a else self._union_states(b)
         sums = []
-        for xa, xb in sectors:
+        for xa, xb in zip(sa, sb):
             out = 0j
-            for w, psi in self.state.terms:
-                va = self._union_state(xa, psi)
-                out += w * np.vdot(va, va if xb is xa else self._union_state(xb, psi))
+            for (w, _), va, vb in zip(self.state.terms, xa, xb):
+                out += w * np.vdot(va, vb)
             sums.append(complex(out))
         return sums[0] if self.detector is None else complex(sum(sums, 0j))
 
@@ -282,24 +330,26 @@ class PksZeroReport:
 
 def verify_pks_zero(ctx: Context, rng=None, union_samples: int = 25) -> PksZeroReport:
     """Measure every all-red basis event and all-green pair event, plus
-    sampled pairwise-disjoint unions of them; all must vanish."""
-    entries = []
-    for e in pks_events():
-        entries.append((e.describe(), ctx.norm(e), ctx.measure(e)))
+    sampled pairwise-disjoint unions of them; all must vanish.  Each event
+    and union is measured once; its norm is `Context.norm`'s square root."""
+
+    def entry(name: str, event) -> tuple[str, float, float]:
+        m = ctx.measure(event)
+        return name, float(np.sqrt(max(m, 0.0))), m
+
+    events = pks_events()
+    entries = [entry(e.describe(), e) for e in events]
     unions = []
     if union_samples:
         rng = rng or np.random.default_rng(0)
-        events = pks_events()
         tries = 0
         while len(unions) < union_samples and tries < union_samples * 50:
             tries += 1
             picks = rng.choice(len(events), size=rng.integers(2, 4), replace=False)
-            try:
-                union = EventUnion(tuple(events[i] for i in picks))
-            except ValueError:
-                continue
-            name = " | ".join(events[i].describe() for i in picks)
-            unions.append((name, ctx.norm(union), ctx.measure(union)))
+            members = tuple(events[i] for i in picks)
+            if _overlapping_pair(members) is None:
+                name = " | ".join(e.describe() for e in members)
+                unions.append(entry(name, EventUnion(members)))
     return PksZeroReport(tuple(entries), tuple(unions), ctx.threshold)
 
 

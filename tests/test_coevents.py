@@ -138,6 +138,35 @@ def test_gram_requires_normalisation():
         GramMeasure(np.eye(3))  # total sum has squared norm 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_measures_reject_non_finite_input(bad):
+    # a NaN weight or vector would otherwise pass the sum checks, since
+    # abs(nan - 1) > tol is False
+    if not isinstance(bad, complex):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalMeasure((bad, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        GramMeasure([[bad, 0], [0, 1]])
+
+
+def test_classical_zero_events_equal_the_per_event_sums():
+    rng = np.random.default_rng(11)
+    tol = 1e-10
+    for n in range(1, 13):
+        w = rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[-1] = 0.0
+        if w.sum() == 0:
+            w[0] = 1.0
+        w /= w.sum()
+        if n > 1:
+            w[-1] = tol / 3  # positive, below tol; the sum stays within 1e-9 of 1
+        m = ClassicalMeasure(tuple(w))
+        expect = tuple(e for e in range(1 << n) if m.value(e) < tol)
+        assert m.zero_events(tol) == expect
+        assert all(type(e) is int for e in m.zero_events(tol))
+
+
 def test_omega_coevent_always_preclusive():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_mixed_state, random_ordering, random_pure_state
 from pkslab.colourings import Colouring, gamma_p, pks_events
 from pkslab.measure import (
+    STATE_MEMO_CAP,
     Context,
     EventUnion,
     HomogeneousEvent,
@@ -252,15 +253,17 @@ def test_measure_builds_each_state_once(monkeypatch, rng):
     """`measure(a)` is `decoherence(a, a)`, and it builds one state per
     member and mixture term; under a detector, one per non-empty sector
     member and term (two sectors for a member free on the detected ray, one
-    for a member fixing it)."""
+    for a member fixing it).  The states are memoised per context: a second
+    `measure` and a cross term between measured events build nothing."""
     built = []
-    original = Context.event_state
+    original = Context._term_states
 
-    def counting(self, event, psi):
-        built.append(event)
-        return original(self, event, psi)
+    def counting(self, event):
+        states = original(self, event)
+        built.append(len(states))
+        return states
 
-    monkeypatch.setattr(Context, "event_state", counting)
+    monkeypatch.setattr(Context, "_term_states", counting)
     ordering, state = random_ordering(rng), random_mixed_state(rng, terms=3)
     triple = EventUnion((
         HomogeneousEvent.from_fixed({0: True, 1: True}),
@@ -270,11 +273,117 @@ def test_measure_builds_each_state_once(monkeypatch, rng):
     single = HomogeneousEvent.from_fixed({2: True, 3: False})
     plain = Context(ordering, state)
     det = Context(ordering, state, detector=ordering.position_of(0) + 1)
-    for ctx, event, states in ((plain, single, 3), (plain, triple, 9),
-                               (det, single, 6), (det, triple, 9)):
-        built.clear()
-        ctx.measure(event)
-        assert len(built) == states
+    for ctx, counts in ((plain, (3, 9)), (det, (6, 9))):
+        for event, states in zip((single, triple), counts):
+            built.clear()
+            ctx.measure(event)
+            assert sum(built) == states
+            built.clear()
+            ctx.measure(event)
+            assert not built
+        ctx.decoherence(triple, single)
+        assert not built
+    cached = [v for sectors in det._states.values() for terms in sectors if terms for v in terms]
+    assert len(cached) == 15 and not any(v.flags.writeable for v in cached)
+
+
+def _reference_decoherence(ctx, a, b) -> complex:
+    """The functional without the memo: `event_state` of each member of each
+    sector restriction, summed from zero in member order, then weighted over
+    the mixture terms in order, and the sectors (red, then green) added to
+    0j."""
+
+    def members(event):
+        return event.members if isinstance(event, EventUnion) else (event,)
+
+    def sectors(event):
+        if ctx.detector is None:
+            return [members(event)]
+        return [
+            [c for c in (e.with_fixed(ctx.detected_ray, g) for e in members(event)) if c is not None]
+            for g in (False, True)
+        ]
+
+    def state(ms, psi):
+        v = np.zeros(3, dtype=complex)
+        for e in ms:
+            v = v + ctx.event_state(e, psi)
+        return v
+
+    sums = []
+    for ma, mb in zip(sectors(a), sectors(b)):
+        out = 0j
+        for w, psi in ctx.state.terms:
+            out += w * np.vdot(state(ma, psi), state(mb, psi))
+        sums.append(complex(out))
+    return sums[0] if ctx.detector is None else complex(sum(sums, 0j))
+
+
+@pytest.mark.parametrize("detected", [False, True])
+@pytest.mark.parametrize("terms", [1, 3])
+def test_memoised_functional_equals_unmemoised_reference(monkeypatch, rng, detected, terms):
+    """Bit-identical `decoherence`, `measure` and `norm` against the
+    reference on homogeneous events and 1-3 member unions, with the memo
+    both cold and warm, and with a cap small enough to clear it."""
+    ordering = random_ordering(rng)
+    state = random_pure_state(rng) if terms == 1 else random_mixed_state(rng, terms=3)
+    ray = ordering.ray_at[9]
+    events = [random_homogeneous_event(rng, max_fixed=4) for _ in range(15)]
+    for _ in range(8):
+        triple = random_disjoint_triple(rng)
+        events += [EventUnion(triple[:k]) for k in (1, 2, 3)]
+    # every member fixes the detected ray green: the red sector is empty
+    events.append(EventUnion((
+        HomogeneousEvent.from_fixed({ray: True, (ray + 1) % N_RAYS: True}),
+        HomogeneousEvent.from_fixed({ray: True, (ray + 1) % N_RAYS: False}),
+    )))
+    pairs = [(a, events[int(rng.integers(len(events)))]) for a in events] + [(e, e) for e in events]
+    for cap in (STATE_MEMO_CAP, 7):
+        monkeypatch.setattr("pkslab.measure.STATE_MEMO_CAP", cap)
+        ctx = Context(ordering, state, detector=10 if detected else None)
+        for _ in range(2):
+            for a, b in pairs:
+                assert ctx.decoherence(a, b) == _reference_decoherence(ctx, a, b)
+                m = float(_reference_decoherence(ctx, a, a).real)
+                assert ctx.measure(a) == m
+                assert ctx.norm(a) == float(np.sqrt(max(m, 0.0)))
+        assert len(ctx._states) <= cap
+
+
+def _reference_pks_zero(ctx, rng, union_samples=25):
+    """`verify_pks_zero`'s loop as it was: build each pick's union and skip
+    it when the disjointness certificate raises; norm and measure apart."""
+    entries = [(e.describe(), ctx.norm(e), ctx.measure(e)) for e in pks_events()]
+    events, unions, tries = pks_events(), [], 0
+    while len(unions) < union_samples and tries < union_samples * 50:
+        tries += 1
+        picks = rng.choice(len(events), size=rng.integers(2, 4), replace=False)
+        try:
+            union = EventUnion(tuple(events[i] for i in picks))
+        except ValueError:
+            continue
+        name = " | ".join(events[i].describe() for i in picks)
+        unions.append((name, ctx.norm(union), ctx.measure(union)))
+    return tuple(entries), tuple(unions)
+
+
+def test_pks_zero_entries_equal_the_try_except_loop(monkeypatch, rng):
+    ordering = random_ordering(rng)
+    for ctx in (Context(), Context(ordering, random_mixed_state(rng, terms=3), detector=12)):
+        for seed in range(5):
+            report = verify_pks_zero(ctx, np.random.default_rng(seed))
+            expect = _reference_pks_zero(ctx, np.random.default_rng(seed))
+            assert (report.entries, report.union_entries) == expect
+    built = []
+    original = EventUnion.__post_init__
+
+    def counting(self):
+        built.append(len(self.members))
+        original(self)
+
+    monkeypatch.setattr(EventUnion, "__post_init__", counting)
+    report = verify_pks_zero(Context(), np.random.default_rng(0))
+    assert report.union_entries and len(built) == len(report.union_entries)
 
 
 def test_detector_position_validation():
