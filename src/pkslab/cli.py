@@ -223,7 +223,7 @@ def cmd_measure_check(args) -> dict:
     plain = measure.Context(ctx.ordering, ctx.state, ctx.threshold)
     rng = np.random.default_rng(args.seed)
     axioms = measure.check_axioms(plain, rng, samples=args.samples)
-    pks = measure.verify_pks_zero(plain, rng)
+    pks = measure.verify_pks_zero(plain)
     config = {
         "command": "measure-check",
         "ordering": list(ctx.ordering.labels()),
@@ -239,7 +239,7 @@ def cmd_measure_check(args) -> dict:
         "pks_zero": {
             "max_norm": pks.max_norm,
             "events": len(pks.entries),
-            "unions_sampled": len(pks.union_entries),
+            "unions": len(pks.union_entries),
             "all_zero": pks.all_zero,
         },
     }
@@ -429,7 +429,7 @@ def _text_measure_check(report: dict) -> list[str]:
         f"normalisation |D(O,O)-1|: {a['normalisation']:.3e}",
         f"sum-rule residual:    {a['sum_rule']:.3e}",
         f"preclusion family: {pks['events']} events + "
-        f"{pks['unions_sampled']} sampled disjoint unions, max norm {pks['max_norm']:.3e}",
+        f"{pks['unions']} disjoint unions, max norm {pks['max_norm']:.3e}",
     ]
     if "detector" in report:
         det = report["detector"]

@@ -202,13 +202,18 @@ class _Chains:
         v[rows, 0] -= v[rows, 1]
         return v
 
-    def step(self, v, last, p, green) -> np.ndarray:
-        """Extend chain states `v`, ending at positions `last`, by the
-        projectors at positions `p` in colours `green`."""
+    def branch(self, v, last, p) -> np.ndarray:
+        """The red children followed by the green children of chain states
+        `v`, ending at positions `last`, extended by the projectors at
+        positions `p`: each row is projected once, along = u (u.v), and
+        its children are v - along (red) and along (green)."""
         v = self._split(v, last, p)
         u = self.u[p][:, None, None, :]
-        along = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))[..., None] * u
-        return np.where(green[:, None, None, None], along, v - along)
+        out = np.empty((2, *v.shape))
+        dot = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))
+        np.multiply(dot[..., None], u, out=out[1])
+        np.subtract(v, out[1], out=out[0])
+        return out.reshape(-1, *v.shape[1:])
 
     def op_norms(self, op, last) -> np.ndarray:
         """The largest sector Frobenius norm of operator products: below the
@@ -254,7 +259,7 @@ def classify_zero_event(ctx, event: HomogeneousEvent) -> Provenance:
     greens = (event.green_mask >> chains.ray_at[pos] & 1).astype(bool)
     op, last = chains.op, np.full(1, -1)
     for p, green in zip(pos.T, greens.T):
-        op, last = chains.step(op, last, p, green), p
+        op, last = chains.branch(op, last, p)[green.astype(np.intp)], p  # one row: 0 red, 1 green
     return _PROVENANCES[_classify(chains, pos, greens, chains.op_norms(op, last) < ctx.threshold)[0]]
 
 
@@ -263,16 +268,18 @@ _BLOCK = 32768
 
 
 def _children(last: np.ndarray):
-    """The children of a level whose rows end at positions `last`, in
-    blocks of about `_BLOCK` rows: (parent row, new later position, green)."""
+    """The (parent row, new later position) pairs of a level whose rows end
+    at positions `last`, in blocks of about `_BLOCK` children.  Each pair
+    has two children, red and green, which `_Chains.branch` builds from one
+    projection: child i < n of a block of n pairs is pair i's red child,
+    child n + i its green one."""
     width = N_RAYS - 1 - last  # later positions per parent
-    start = np.cumsum(width) - width  # offset of each parent's first child
+    start = np.cumsum(width) - width  # offset of each parent's first pair
     lo = 0
     while lo < len(last):
         hi = int(np.searchsorted(start, start[lo] + _BLOCK // 2, "right"))
         par = np.repeat(np.arange(lo, hi), width[lo:hi])
-        p = last[par] + 1 + np.arange(par.size) - (start[par] - start[lo])
-        yield np.tile(par, 2), np.tile(p, 2), np.arange(2 * par.size) >= par.size
+        yield par, last[par] + 1 + np.arange(par.size) - (start[par] - start[lo])
         lo = hi
 
 
@@ -282,10 +289,11 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
     1..max_fixed fixed rays, and the smallest rejected norm.
 
     The events with k fixed rays are the children of level k-1: a parent row
-    extended by one later position in either colour, its state one projector
-    step from the parent's stored state.  A level keeps int8 chain
+    extended by one later position in either colour, both colours from one
+    projection of the parent's stored state.  A level keeps int8 chain
     positions, colour masks, states and operator products; the last level
-    keeps only its zero rows."""
+    builds positions and masks only for its zero rows.  The operator
+    products of zero rows are stepped once per pair with a zero child."""
     chains = _Chains(ctx)
     pos, green, red = np.zeros((1, 0), dtype=np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
     state, op = chains.state, chains.op
@@ -293,22 +301,31 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
     for k in range(1, max_fixed + 1):
         last = pos[:, -1].astype(int) if k > 1 else np.full(1, -1)
         level = []
-        for par, p, g in _children(last):
-            child = chains.step(state[par], last[par], p, g)
+        for par, p in _children(last):
+            n = par.size
+            child = chains.branch(state[par], last[par], p)
             norm = np.sqrt(np.einsum("nsij,nsij->n", child, child))
             if not np.isfinite(norm).all():
                 raise ValueError("non-finite norm in the scan: no verdict can rest on it")
-            z = np.flatnonzero(norm < ctx.threshold)
-            min_rejected = min(min_rejected, np.delete(norm, z).min(initial=math.inf))
-            bit = np.int64(1) << chains.ray_at[p]
-            c_pos = np.column_stack([pos[par], p]).astype(np.int8)
-            c_green, c_red = green[par] | np.where(g, bit, 0), red[par] | np.where(g, 0, bit)
+            zm = norm < ctx.threshold
+            min_rejected = min(min_rejected, norm[~zm].min(initial=math.inf))
+            z = np.flatnonzero(zm)
+            # the children whose positions and masks are built, and the zero rows among them
+            rows, zr = (z, slice(None)) if k == max_fixed else (np.arange(2 * n), z)
+            pair, g = rows % n, rows >= n
+            c_par, c_p = par[pair], p[pair]
+            bit = np.int64(1) << chains.ray_at[c_p]
+            c_pos = np.column_stack([pos[c_par], c_p]).astype(np.int8)
+            c_green, c_red = green[c_par] | np.where(g, bit, 0), red[c_par] | np.where(g, 0, bit)
             if k < max_fixed:
-                level.append((c_pos, c_green, c_red, child, chains.step(op[par], last[par], p, g)))
-            greens = (c_green[z, None] >> chains.ray_at[c_pos[z]] & 1).astype(bool)
-            op_norm = chains.op_norms(chains.step(op[par[z]], last[par[z]], p[z], g[z]), p[z])
-            code = _classify(chains, c_pos[z], greens, op_norm < ctx.threshold)
-            zeros.append((np.full(z.size, k, np.int8), c_green[z], c_red[z], norm[z], code))
+                level.append((c_pos, c_green, c_red, child, chains.branch(op[par], last[par], p)))
+            pairs = np.flatnonzero(zm[:n] | zm[n:])
+            op_norm = chains.op_norms(
+                chains.branch(op[par[pairs]], last[par[pairs]], p[pairs]), np.tile(p[pairs], 2)
+            )[np.searchsorted(pairs, z % n) + pairs.size * (z >= n)]
+            greens = (c_green[zr, None] >> chains.ray_at[c_pos[zr]] & 1).astype(bool)
+            code = _classify(chains, c_pos[zr], greens, op_norm < ctx.threshold)
+            zeros.append((np.full(z.size, k, np.int8), c_green[zr], c_red[zr], norm[z], code))
         if level:
             pos, green, red, state, op = (np.concatenate(c) for c in zip(*level))
     del pos, green, red, state, op  # the stored level, before the zero rows are joined

@@ -488,6 +488,85 @@ def test_norm_margin_of_the_default_context():
         assert scan[:10].min_rejected == scan.min_rejected
 
 
+def _reference_zero_rows(ctx, max_fixed):
+    """The level scan one child at a time: every (parent, later position)
+    pair appears twice, red then green, and each copy is projected on its
+    own and picks its colour through `np.where`.  Returns the green, red,
+    norm and code columns in record order and the smallest rejected norm."""
+    chains = explorer._Chains(ctx)
+
+    def step(v, last, p, green):
+        v = chains._split(v, last, p)
+        u = chains.u[p][:, None, None, :]
+        along = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))[..., None] * u
+        return np.where(green[:, None, None, None], along, v - along)
+
+    pos, green, red = np.zeros((1, 0), dtype=int), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    state, op = chains.state, chains.op
+    zeros, min_rejected = [], math.inf
+    for k in range(1, max_fixed + 1):
+        last = pos[:, -1] if k > 1 else np.full(1, -1)
+        width = N_RAYS - 1 - last
+        par = np.repeat(np.arange(last.size), width)
+        p = last[par] + 1 + np.arange(par.size) - np.repeat(np.cumsum(width) - width, width)
+        par, p, g = np.tile(par, 2), np.tile(p, 2), np.arange(2 * par.size) >= par.size
+        state, op = step(state[par], last[par], p, g), step(op[par], last[par], p, g)
+        norm = np.sqrt(np.einsum("nsij,nsij->n", state, state))
+        z = norm < ctx.threshold
+        min_rejected = min(min_rejected, norm[~z].min(initial=math.inf))
+        bit = np.int64(1) << chains.ray_at[p]
+        pos = np.column_stack([pos[par], p])
+        green, red = green[par] | np.where(g, bit, 0), red[par] | np.where(g, 0, bit)
+        greens = (green[z, None] >> chains.ray_at[pos[z]] & 1).astype(bool)
+        collapse = chains.op_norms(op[z], p[z]) < ctx.threshold
+        code = explorer._classify(chains, pos[z], greens, collapse)
+        zeros.append((np.full(z.sum(), k), green[z], red[z], norm[z], code))
+    n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
+    order = np.lexsort((red, green, n_fixed))
+    return green[order], red[order], norm[order], code[order], min_rejected
+
+
+def test_scan_equals_the_per_colour_reference(rng):
+    i021 = ray_index("021")
+    contexts = [
+        Context(),
+        Context(detector=Ordering.default().position_of(i021) + 1),
+        Context(random_ordering(rng), random_mixed_state(rng), detector=int(rng.integers(1, 34))),
+        Context(random_ordering(rng), maximally_mixed_state()),
+        Context(Ordering.default().with_ray_last(i021)),
+    ]
+    for ctx in contexts:
+        scan = scan_zero_events(ctx, 3)
+        green, red, norm, code, min_rejected = _reference_zero_rows(ctx, 3)
+        columns = (scan.events.green, scan.events.red, scan.norm, scan.code)
+        for got, want in zip(columns, (green, red, norm, code)):
+            assert got.shape == want.shape and (got == want).all()
+        assert scan.min_rejected == min_rejected
+
+
+def test_each_pair_is_projected_once(monkeypatch):
+    rows = []  # (slots, rows) per kernel call: 1 state slot, 3 operator columns
+    original = explorer._Chains.branch
+
+    def counting(self, v, last, p):
+        rows.append((v.shape[2], len(v)))
+        return original(self, v, last, p)
+
+    monkeypatch.setattr(explorer._Chains, "branch", counting)
+    scan = scan_zero_events(Context(), 2)
+    pairs = N_RAYS + 2 * sum(range(N_RAYS))  # level 1, then each level-1 row's later positions
+    children = 2 * N_RAYS + 4 * sum(range(N_RAYS))
+    assert sum(n for slots, n in rows if slots == 1) == pairs == children // 2
+    # operator products: level 1's for level 2, then once per pair with a
+    # zero child (in the listing order a ray's position is its index)
+    fixed = scan.events.green | scan.events.red
+    last = np.array([int(x).bit_length() - 1 for x in fixed])
+    parent = fixed & ~(np.int64(1) << last)
+    zero_pairs = len(set(zip(scan.events.green & parent, scan.events.red & parent, last)))
+    assert zero_pairs < len(scan)
+    assert sum(n for slots, n in rows if slots == 3) == N_RAYS + zero_pairs
+
+
 @pytest.mark.slow
 def test_depth5_provenance_split(default_ctx):
     scan = scan_zero_events(default_ctx, 5)

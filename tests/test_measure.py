@@ -179,10 +179,10 @@ def test_pks_zero_for_default_and_random_contexts(rng):
         Context(random_ordering(rng), random_pure_state(rng)),
         Context(random_ordering(rng), random_mixed_state(rng)),
     ):
-        report = verify_pks_zero(ctx, rng)
+        report = verify_pks_zero(ctx)
         assert report.all_zero
         assert len(report.entries) == 88
-        assert report.union_entries
+        assert len(report.union_entries) == 192
 
 
 def test_detector_decoheres_sectors(default_ctx):
@@ -350,30 +350,32 @@ def test_memoised_functional_equals_unmemoised_reference(monkeypatch, rng, detec
         assert len(ctx._states) <= cap
 
 
-def _reference_pks_zero(ctx, rng, union_samples=25):
-    """`verify_pks_zero`'s loop as it was: build each pick's union and skip
-    it when the disjointness certificate raises; norm and measure apart."""
-    entries = [(e.describe(), ctx.norm(e), ctx.measure(e)) for e in pks_events()]
-    events, unions, tries = pks_events(), [], 0
-    while len(unions) < union_samples and tries < union_samples * 50:
-        tries += 1
-        picks = rng.choice(len(events), size=rng.integers(2, 4), replace=False)
-        try:
-            union = EventUnion(tuple(events[i] for i in picks))
-        except ValueError:
-            continue
-        name = " | ".join(events[i].describe() for i in picks)
-        unions.append((name, ctx.norm(union), ctx.measure(union)))
-    return tuple(entries), tuple(unions)
-
-
-def test_pks_zero_entries_equal_the_try_except_loop(monkeypatch, rng):
+def test_pks_zero_measures_every_disjoint_union(monkeypatch, rng):
+    events = pks_events()
+    green = np.array([e.green_mask for e in events])
+    red = np.array([e.red_mask for e in events])
+    disjoint = ((green[:, None] & red) | (red[:, None] & green)) != 0
+    pairs = list(zip(*(x.tolist() for x in np.nonzero(np.triu(disjoint)))))
+    assert len(pairs) == 192
+    # no three pairwise disjoint: no disjoint pair has an event disjoint from both
+    common = disjoint.astype(int) @ disjoint.astype(int)
+    assert not (disjoint & (common > 0)).any()
+    shared = []
+    for i, j in pairs:  # a red basis and a green pair sharing one or two of its rays
+        basis, pair = sorted((events[i], events[j]), key=lambda e: e.green_mask != 0)
+        assert (basis.green_mask, pair.red_mask) == (0, 0)
+        assert (len(basis.fixed), len(pair.fixed)) == (3, 2)
+        shared.append(bin(basis.red_mask & pair.green_mask).count("1"))
+    assert (shared.count(1), shared.count(2)) == (144, 48)
     ordering = random_ordering(rng)
     for ctx in (Context(), Context(ordering, random_mixed_state(rng, terms=3), detector=12)):
-        for seed in range(5):
-            report = verify_pks_zero(ctx, np.random.default_rng(seed))
-            expect = _reference_pks_zero(ctx, np.random.default_rng(seed))
-            assert (report.entries, report.union_entries) == expect
+        report = verify_pks_zero(ctx)
+        assert report.entries == tuple((e.describe(), ctx.norm(e), ctx.measure(e)) for e in events)
+        unions = [EventUnion((events[i], events[j])) for i, j in pairs]
+        assert report.union_entries == tuple(
+            (" | ".join(e.describe() for e in u.members), ctx.norm(u), ctx.measure(u))
+            for u in unions
+        )
     built = []
     original = EventUnion.__post_init__
 
@@ -382,8 +384,8 @@ def test_pks_zero_entries_equal_the_try_except_loop(monkeypatch, rng):
         original(self)
 
     monkeypatch.setattr(EventUnion, "__post_init__", counting)
-    report = verify_pks_zero(Context(), np.random.default_rng(0))
-    assert report.union_entries and len(built) == len(report.union_entries)
+    report = verify_pks_zero(Context())
+    assert built == [2] * 192 and len(report.union_entries) == 192
 
 
 def test_detector_position_validation():
