@@ -307,7 +307,6 @@ def cmd_zero_scan(args) -> dict:
             "seed": search.seed,
             "budget": search.budget,
             "scan_max_fixed": search.scan_max_fixed,
-            "strategy": search.strategy,
             "candidates": [
                 {
                     "label": c.label,

@@ -292,6 +292,8 @@ def test_zero_scan_021_last(tmp_path, capsys):
 def test_zero_scan_budget_guard(capsys):
     code = main(["zero-scan", "--max-fixed", "12"])
     assert code == 2
+    code = main(["zero-scan", "--max-fixed", "6"])  # past the depth-5 cap
+    assert code == 2
     code = main(["zero-scan", "--max-fixed", "1", "--budget", "-5"])
     assert code == 2
     assert capsys.readouterr().out == ""
@@ -311,6 +313,7 @@ def test_zero_scan_with_search(capsys):
     code, report = run_json(capsys, "zero-scan", "--max-fixed", "1", "--budget", "3")
     assert code == 0
     assert len(report["search"]["candidates"]) == 3
+    assert "strategy" not in report["search"]
     probe = next(
         c for c in report["search"]["candidates"] if c["label"] == "probe-021-last"
     )

@@ -288,9 +288,10 @@ def test_last_stage_construction_requires_021_last(default_ctx):
 
 
 def test_last_stage_construction_state_independent(rng):
+    # the search's probe runs under the maximally mixed state
     ordering = Ordering.default().with_ray_last(ray_index("021"))
-    for _ in range(3):
-        ctx = Context(ordering, random_pure_state(rng))
+    for state in [maximally_mixed_state()] + [random_pure_state(rng) for _ in range(3)]:
+        ctx = Context(ordering, state)
         built = last_ray_021_construction(ctx)
         assert built.norm1 < 1e-10 and built.norm2 < 1e-10
 
@@ -346,32 +347,55 @@ def test_ordering_search_deterministic_and_probe_covered():
 def test_search_candidates_rebuild_the_examined_threshold():
     # witnesses found under a coarse threshold are zero only under that
     # threshold: the rebuilt context must carry it
-    report = ordering_search(6, seed=0, threshold=0.05, strategy="mixed")
+    report = ordering_search(6, seed=0, threshold=0.1)
     covered = [c for c in report.candidates if c.verdict.covered]
-    assert {"separating-4", "random-2"} <= {c.label for c in covered}
+    assert {"probe-021-last", "random-ord-2"} <= {c.label for c in covered}
     for c in covered:
         ctx = c.context()
-        assert ctx.threshold == 0.05
+        assert ctx.threshold == 0.1
+        assert np.array_equal([v for _, v in ctx.state.terms], np.eye(3))  # maximally mixed
         assert all(ctx.is_zero(e) for e in c.verdict.witness), c.label
-    sep = next(c for c in covered if c.label == "separating-4")
-    fine = Context(sep.ordering, sep.context().state)
-    assert not all(fine.is_zero(e) for e in sep.verdict.witness)
+    coarse = next(c for c in covered if c.label == "random-ord-2")
+    fine = Context(coarse.ordering, maximally_mixed_state())
+    assert not all(fine.is_zero(e) for e in coarse.verdict.witness)
 
 
 def test_ordering_search_structural_strategy():
     report = ordering_search(8, seed=1, scan_max_fixed=2, strategy="structural")
-    assert report.strategy == "structural"
-    assert report == ordering_search(8, seed=1, scan_max_fixed=2, strategy="structural")
+    assert report == ordering_search(8, seed=1, scan_max_fixed=2)
     others = [c for c in report.candidates if c.label != "probe-021-last"]
-    assert others and all(c.state_description == "maximally mixed" for c in others)
+    assert others
     # structural zeros are zeros of every state: an ordering covered here
     # is covered outright, so a cover witness must survive any pure state
     covered = [c for c in others if c.verdict.covered]
     for cand in covered[:2]:
         ctx = Context(cand.ordering, InitialState.pure([0.6, 0.8j, 0.0]))
         assert all(ctx.norm(e) < ctx.threshold for e in cand.verdict.witness)
-    with pytest.raises(ValueError):
-        ordering_search(2, strategy="unknown")
+    for strategy in ("mixed", "unknown"):
+        with pytest.raises(ValueError):
+            ordering_search(2, strategy=strategy)
+
+
+def test_maximally_mixed_zeros_are_every_states_zeros(rng):
+    """What the one-state search rests on, at depth 3: a random pure state's
+    zeros are the maximally mixed state's, |0,z>'s contain them, and every
+    structural candidate zero under the maximally mixed state is zero under
+    the pure state."""
+
+    def masks(ctx):
+        scan = scan_zero_events(ctx, 3)
+        return set(zip(scan.events.green.tolist(), scan.events.red.tolist()))
+
+    for _ in range(5):
+        ordering = random_ordering(rng)
+        mixed = Context(ordering, maximally_mixed_state())
+        pure = Context(ordering, random_pure_state(rng))
+        zeros = masks(mixed)
+        assert masks(pure) == zeros
+        assert masks(Context(ordering)) > zeros
+        built = structural_threat_pairs(mixed)
+        assert len(built) >= 2  # at least the gap pair
+        assert all(pure.is_zero(e) for e in built)
 
 
 def test_provenance_counts_helper(default_ctx):
@@ -557,13 +581,15 @@ def test_each_pair_is_projected_once(monkeypatch):
     pairs = N_RAYS + 2 * sum(range(N_RAYS))  # level 1, then each level-1 row's later positions
     children = 2 * N_RAYS + 4 * sum(range(N_RAYS))
     assert sum(n for slots, n in rows if slots == 1) == pairs == children // 2
-    # operator products: level 1's for level 2, then once per pair with a
-    # zero child (in the listing order a ray's position is its index)
+    # operator products: level 1's for level 2, then once per level-2 pair
+    # with a zero child (in the listing order a ray's position is its index)
     fixed = scan.events.green | scan.events.red
+    level2 = np.array([int(x).bit_count() == 2 for x in fixed])
+    green, red, fixed = scan.events.green[level2], scan.events.red[level2], fixed[level2]
     last = np.array([int(x).bit_length() - 1 for x in fixed])
     parent = fixed & ~(np.int64(1) << last)
-    zero_pairs = len(set(zip(scan.events.green & parent, scan.events.red & parent, last)))
-    assert zero_pairs < len(scan)
+    zero_pairs = len(set(zip(green & parent, red & parent, last)))
+    assert zero_pairs < level2.sum()
     assert sum(n for slots, n in rows if slots == 3) == N_RAYS + zero_pairs
 
 
@@ -784,7 +810,7 @@ def test_coverage_makes_no_records(monkeypatch):
     monkeypatch.setattr(ZeroEventRecord, "__init__", counting_init)
     verdict, scan = context_coverage(Context(), 3)
     assert verdict.covered and len(scan) == DEFAULT_ZEROS_MAX3
-    report = ordering_search(3, scan_max_fixed=2, strategy="structural")
+    report = ordering_search(3, scan_max_fixed=2)
     assert len(report.candidates) == 3
     assert built == []
     scan[0]  # the counter does see a record built on access
