@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import coevents, explorer, measure
 from . import colourings as col
-from . import explorer, measure
 from .rays import (
     PERES_RAYS,
     enumerate_bases,
@@ -178,14 +178,14 @@ def cmd_ks_verify(args) -> dict:
 
 
 def cmd_phi_m(args) -> dict:
-    gp, gpp = col.gamma_p(), col.gamma_p_prime()
+    phi = coevents.phi_m()
+    gp, gpp = phi.support
     rows = []
     mismatches = []
     errata = []
     for i, ray in enumerate(PERES_RAYS):
         g1, g2 = gp.is_green(i), gpp.is_green(i)
-        vg = 1 if (g1 and g2) else 0
-        vr = 1 if (not g1 and not g2) else 0
+        vg, vr = (phi.evaluate(col.HomogeneousEvent.from_fixed({i: g})) for g in (True, False))
         computed = ("g" if g1 else "r", "g" if g2 else "r", vg, vr)
         published = PUBLISHED_VALUATION[ray.label]
         row = {
@@ -301,7 +301,7 @@ def cmd_zero_scan(args) -> dict:
         }
     if args.budget:
         search = explorer.ordering_search(
-            args.budget, seed=args.seed, threshold=args.threshold
+            args.budget, seed=args.seed, scan_max_fixed=args.max_fixed, threshold=args.threshold
         )
         report["search"] = {
             "seed": search.seed,
@@ -324,8 +324,6 @@ def cmd_zero_scan(args) -> dict:
 
 
 def cmd_lemma_fuzz(args) -> dict:
-    from . import coevents
-
     if not 2 <= args.max_n <= 12:
         raise ValueError("--max-n must be in 2..12")
     if args.trials < 1:
@@ -500,7 +498,7 @@ def _add_context_options(p: argparse.ArgumentParser) -> None:
     """The options `_load_context` reads."""
     p.add_argument("--ordering", help="file of 33 ray labels (lines or JSON array)")
     p.add_argument("--state", help="JSON state file ({'pure': ...} or {'mixed': ...})")
-    p.add_argument("--threshold", type=float, default=1e-10,
+    p.add_argument("--threshold", type=float, default=measure.DEFAULT_THRESHOLD,
                    help="norms below this count as measure zero")
     p.add_argument("--detector", help="ray label whose stage gets detectors in both beams")
 

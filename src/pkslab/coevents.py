@@ -24,6 +24,7 @@ import numpy as np
 
 from .colourings import (
     Colouring,
+    HomogeneousEvent,
     act_on_colouring,
     gamma_p,
     gamma_p_prime,
@@ -134,6 +135,15 @@ def verify_classical_coevents(n: int, rng=None, samples: int = 2000) -> bool:
 # --- measures ---------------------------------------------------------------------
 
 
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Doubling table over all 2^n events: entry e adds the rows of e's
+    members in ascending index order, starting from zero."""
+    table = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    for k, row in enumerate(rows):
+        table[1 << k : 2 << k] = table[: 1 << k] + row
+    return table
+
+
 class ClassicalMeasure:
     """Nonnegative weights per history, summing to 1."""
 
@@ -153,11 +163,8 @@ class ClassicalMeasure:
 
     def zero_events(self, tol: float = 1e-10) -> tuple[int, ...]:
         _check_n(self.n)
-        # doubling table: values[e] adds the weights of e's members in
-        # ascending index order from 0.0, as `value` does
-        values = np.zeros(1 << self.n)
-        for k, w in enumerate(self.weights):
-            values[1 << k : 2 << k] = values[: 1 << k] + w
+        # the table adds in `value`'s order, so each entry equals `value`
+        values = _subset_sums(np.array(self.weights))
         return tuple(int(e) for e in np.flatnonzero(values < tol))
 
 
@@ -196,11 +203,7 @@ class GramMeasure:
 
     def zero_events(self, tol: float = 1e-10) -> tuple[int, ...]:
         _check_n(self.n)
-        # subset-sum dynamic programme over all events
-        sums = np.zeros((1 << self.n, self.vectors.shape[1]), dtype=complex)
-        for e in range(1, 1 << self.n):
-            low = e & -e
-            sums[e] = sums[e ^ low] + self.vectors[low.bit_length() - 1]
+        sums = _subset_sums(self.vectors)
         values = np.einsum("ed,ed->e", sums.conj(), sums).real
         return tuple(int(e) for e in np.nonzero(values < tol)[0])
 
@@ -287,18 +290,6 @@ def phi_m() -> SupportCoevent:
     return SupportCoevent((gamma_p(), gamma_p_prime()))
 
 
-@lru_cache(maxsize=2)
-def _rays_valued_one(green: bool) -> tuple[int, ...]:
-    gp, gpp = gamma_p(), gamma_p_prime()
-    if green:
-        return tuple(
-            i for i in range(len(PERES_RAYS)) if gp.is_green(i) and gpp.is_green(i)
-        )
-    return tuple(
-        i for i in range(len(PERES_RAYS)) if not gp.is_green(i) and not gpp.is_green(i)
-    )
-
-
 def transported_coevent(k: int, green: bool) -> SupportCoevent:
     """A symmetry image of the surviving co-event that values the requested
     colour event at ray k as true.
@@ -308,11 +299,12 @@ def transported_coevent(k: int, green: bool) -> SupportCoevent:
     pick the earliest symmetry in the fixed group enumeration.
     """
     target_type: RayType = PERES_RAYS[k].ray_type
-    for source in _rays_valued_one(green):
-        if PERES_RAYS[source].ray_type is not target_type:
+    for source, ray in enumerate(PERES_RAYS):
+        valued = phi_m().evaluate(HomogeneousEvent.from_fixed({source: green}))
+        if not valued or ray.ray_type is not target_type:
             continue
         for g in symmetry_group():
-            if apply_symmetry(g, PERES_RAYS[source]) == PERES_RAYS[k]:
+            if apply_symmetry(g, ray) == PERES_RAYS[k]:
                 moved = SupportCoevent(
                     tuple(act_on_colouring(g, c) for c in phi_m().support)
                 )

@@ -219,32 +219,9 @@ def seed_window() -> tuple[int, ...]:
     return tuple(sorted({i for b in basis_chain()[:4] for i in b.indices}))
 
 
-def enumerate_seed_colourings() -> tuple[dict[int, bool], ...]:
-    """The 24 assignments on the seed window with exactly one green per
-    basis B1..B4, by brute force over all 2^10 assignments.
-
-    This matches the published count of 24; the lone orthogonal pair that
-    crosses between the four bases (001, 110) is not imposed at the seed
-    stage, so 4 of the 24 violate it and fail immediately when extended.
-    """
-    window = seed_window()
-    four = basis_chain()[:4]
-    out = []
-    for bits in range(1 << len(window)):
-        seed = {r: bool(bits >> k & 1) for k, r in enumerate(window)}
-        if all(sum(seed[i] for i in b.indices) == 1 for b in four):
-            out.append(seed)
-    return tuple(out)
-
-
-def fiducial_seed() -> dict[int, bool]:
-    """The seed colouring greening the first-listed ray of each of B1..B4."""
-    greens = {ray_index(row[0]) for row in _CHAIN_ROWS[:4]}
-    return {r: r in greens for r in seed_window()}
-
-
-def count_consistent_restricted(rays: tuple[int, ...], include_pairs: bool = True) -> int:
-    """Brute-force count of consistent assignments on a ray subset.
+def consistent_assignments(rays, include_pairs: bool = True) -> tuple[dict[int, bool], ...]:
+    """Brute-force list of the consistent assignments on a ray subset, in
+    binary order over the sorted rays.
 
     Constraints are those wholly inside the subset: exactly one green per
     contained basis, and (optionally) no contained orthogonal pair both
@@ -253,24 +230,37 @@ def count_consistent_restricted(rays: tuple[int, ...], include_pairs: bool = Tru
     rays = tuple(sorted(rays))
     if len(rays) > 20:
         raise ValueError("brute force is limited to 20 rays")
-    inside_b = [b for b in enumerate_bases() if all(i in rays for i in b.indices)]
-    inside_p = [
-        p.indices
-        for p in enumerate_orthogonal_pairs()
-        if all(i in rays for i in p.indices)
-    ]
-    pos = {r: k for k, r in enumerate(rays)}
-    count = 0
-    for bits in range(1 << len(rays)):
-        def green(i: int) -> bool:
-            return bool(bits >> pos[i] & 1)
+    bit = {r: k for k, r in enumerate(rays)}  # ray -> bit of the assignment word
 
-        if any(sum(green(i) for i in b.indices) != 1 for b in inside_b):
-            continue
-        if include_pairs and any(green(i) and green(j) for i, j in inside_p):
-            continue
-        count += 1
-    return count
+    def inside(sets) -> list[int]:
+        return [_mask(bit[i] for i in x.indices) for x in sets if bit.keys() >= set(x.indices)]
+
+    bases = inside(enumerate_bases())
+    pairs = inside(enumerate_orthogonal_pairs()) if include_pairs else []
+    return tuple(
+        {r: bool(bits >> k & 1) for k, r in enumerate(rays)}
+        for bits in range(1 << len(rays))
+        if all((bits & b).bit_count() == 1 for b in bases)
+        and not any(bits & p == p for p in pairs)
+    )
+
+
+def enumerate_seed_colourings() -> tuple[dict[int, bool], ...]:
+    """The 24 assignments on the seed window with exactly one green per
+    basis B1..B4 (the only bases inside it), by brute force over all 2^10
+    assignments.
+
+    This matches the published count of 24; the lone orthogonal pair that
+    crosses between the four bases (001, 110) is not imposed at the seed
+    stage, so 4 of the 24 violate it and fail immediately when extended.
+    """
+    return consistent_assignments(seed_window(), include_pairs=False)
+
+
+def fiducial_seed() -> dict[int, bool]:
+    """The seed colouring greening the first-listed ray of each of B1..B4."""
+    greens = {ray_index(row[0]) for row in _CHAIN_ROWS[:4]}
+    return {r: r in greens for r in seed_window()}
 
 
 # --- propagation, walkthrough, and the exhaustive verifier --------------------

@@ -15,7 +15,6 @@ evidence on, not a theorem it can decide.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -33,8 +32,8 @@ from .colourings import (
     pks_events,
 )
 from . import spin
-from .measure import Context, HomogeneousEvent, InitialState, Ordering
-from .rays import N_RAYS, PERES_RAYS, are_orthogonal, enumerate_bases, ray_index
+from .measure import DEFAULT_THRESHOLD, Context, HomogeneousEvent, InitialState, Ordering
+from .rays import N_RAYS, PERES_RAYS, are_orthogonal, ray_index
 
 MAX_SCAN_FIXED = 5
 
@@ -156,17 +155,15 @@ class ZeroScan(Sequence):
 
 
 @lru_cache(maxsize=1)
-def _ray_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Exact orthogonality of every ray pair (33x33) and whether every ray
-    triple (33x33x33) is a basis, both symmetric under permuting the axes."""
+def _ray_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact orthogonality of every ray pair (33x33), and the green masks of
+    the 72 all-green and the red masks of the 16 all-red preclusion events."""
     orth = np.array(
         [[are_orthogonal(a, b) for b in PERES_RAYS] for a in PERES_RAYS], dtype=bool
     )
-    basis = np.zeros((N_RAYS,) * 3, dtype=bool)
-    for b in enumerate_bases():
-        for triple in itertools.permutations(b.indices):
-            basis[triple] = True
-    return orth, basis
+    pairs = np.array([e.green_mask for e in pks_events() if e.green_mask], dtype=np.int64)
+    bases = np.array([e.red_mask for e in pks_events() if e.red_mask], dtype=np.int64)
+    return orth, pairs, bases
 
 
 class _Chains:
@@ -223,28 +220,29 @@ class _Chains:
         return np.sqrt(np.einsum("nsij,nsij->ns", op, op).max(axis=1))
 
 
-def _classify(chains: _Chains, pos, greens, collapse) -> np.ndarray:
+def _classify(chains: _Chains, pos, green, red, collapse) -> np.ndarray:
     """Why is each of these events' state zero?  Codes index `_PROVENANCES`.
 
-    `pos` and boolean `greens` have shape (n, k) in chain order (ascending
-    position); boolean `collapse` marks operator norms below the threshold.
-    Exact preclusion patterns rank first; then a green-green orthogonal
-    pair at consecutive stages; then a projector chain whose product
-    vanishes once the free stages are summed out (for a detected context,
-    every sector must vanish); the rest are zeros of this particular
-    initial state.  A detector never sits between consecutive stages and
-    its red sector adds no green pair, so the adjacency test on the event's
-    own chain decides every sector of a detected context.
+    `pos` has shape (n, k) in chain order (ascending position), `green` and
+    `red` hold the rows' masks, and boolean `collapse` marks operator norms
+    below the threshold.  Preclusion events (`pks_events`) rank first; then
+    a green-green orthogonal pair at consecutive stages; then a projector
+    chain whose product vanishes once the free stages are summed out (for a
+    detected context, every sector must vanish); the rest are zeros of this
+    particular initial state.  A detector never sits between consecutive
+    stages and its red sector adds no green pair, so the adjacency test on
+    the event's own chain decides every sector of a detected context.
     """
-    orth, basis = _ray_tables()
+    orth, pairs, bases = _ray_tables()
     rays = chains.ray_at[pos]
     n, k = rays.shape
-    if k == 3:
-        pks = basis[rays[:, 0], rays[:, 1], rays[:, 2]] & ~greens.any(axis=1)
-    elif k == 2:
-        pks = orth[rays[:, 0], rays[:, 1]] & greens.all(axis=1)
+    if k == 2:  # a pair's green mask or a basis's red one leaves the other colour empty
+        pks = (green[:, None] == pairs).any(axis=1)
+    elif k == 3:
+        pks = (red[:, None] == bases).any(axis=1)
     else:
         pks = np.zeros(n, dtype=bool)
+    greens = (green[:, None] >> rays & 1).astype(bool)
     consecutive = (pos[:, 1:] == pos[:, :-1] + 1) & greens[:, 1:] & greens[:, :-1]
     adjacent = (consecutive & orth[rays[:, :-1], rays[:, 1:]]).any(axis=1)
     # int8 codes: a scan keeps one per zero row until its records are built
@@ -256,11 +254,12 @@ def classify_zero_event(ctx, event: HomogeneousEvent) -> Provenance:
     classifier (see `_classify` for the precedence)."""
     chains = _Chains(ctx)
     pos = np.sort(ctx.ordering.positions()[list(event.fixed)]).reshape(1, -1)
-    greens = (event.green_mask >> chains.ray_at[pos] & 1).astype(bool)
+    green, red = np.array([event.green_mask]), np.array([event.red_mask])
     op, last = chains.op, np.full(1, -1)
-    for p, green in zip(pos.T, greens.T):
-        op, last = chains.branch(op, last, p)[green.astype(np.intp)], p  # one row: 0 red, 1 green
-    return _PROVENANCES[_classify(chains, pos, greens, chains.op_norms(op, last) < ctx.threshold)[0]]
+    for p in pos.T:
+        op, last = chains.branch(op, last, p)[green >> chains.ray_at[p] & 1], p  # 0 red, 1 green
+    collapse = chains.op_norms(op, last) < ctx.threshold
+    return _PROVENANCES[_classify(chains, pos, green, red, collapse)[0]]
 
 
 # Children of one level are built about this many rows at a time.
@@ -327,8 +326,7 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
             if k < max_fixed:
                 level.append((c_pos, c_green, c_red, child, c_op))
             del c_op  # a last-level block's products go before the next block is built
-            greens = (c_green[zr, None] >> chains.ray_at[c_pos[zr]] & 1).astype(bool)
-            code = _classify(chains, c_pos[zr], greens, op_norm < ctx.threshold)
+            code = _classify(chains, c_pos[zr], c_green[zr], c_red[zr], op_norm < ctx.threshold)
             zeros.append((np.full(z.size, k, np.int8), c_green[zr], c_red[zr], norm[z], code))
         if level:
             pos, green, red, state, op = (np.concatenate(c) for c in zip(*level))
@@ -588,7 +586,7 @@ def ordering_search(
     budget: int,
     seed: int = 0,
     scan_max_fixed: int = 2,
-    threshold: float = 1e-10,
+    threshold: float = DEFAULT_THRESHOLD,
     strategy: str = "structural",
 ) -> SearchReport:
     """Heuristic exploration for orderings where no covering family is found.

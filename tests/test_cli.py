@@ -314,6 +314,7 @@ def test_zero_scan_with_search(capsys):
     assert code == 0
     assert len(report["search"]["candidates"]) == 3
     assert "strategy" not in report["search"]
+    assert report["search"]["scan_max_fixed"] == report["max_fixed"]
     probe = next(
         c for c in report["search"]["candidates"] if c["label"] == "probe-021-last"
     )

@@ -167,6 +167,23 @@ def test_classical_zero_events_equal_the_per_event_sums():
         assert all(type(e) is int for e in m.zero_events(tol))
 
 
+def test_gram_zero_events_equal_the_per_event_values():
+    """Integer vectors cancel exactly over many events, random ones over a
+    +-v pair; the zero list is the events whose value is below tol."""
+    rng = np.random.default_rng(13)
+    tol = 1e-10
+    for n in range(3, 11):
+        ints = rng.integers(-1, 2, size=(n, 2)) + 1j * rng.integers(-1, 2, size=(n, 2))
+        ints[-1] = [1, 0] - ints[:-1].sum(axis=0)  # the total is a unit vector
+        floats = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        floats[1] = -floats[0]
+        floats /= np.linalg.norm(floats.sum(axis=0))
+        for vecs in (ints, floats):
+            m = GramMeasure(vecs)
+            assert m.zero_events(tol) == tuple(e for e in range(1 << n) if m.value(e) < tol)
+        assert 0b11 in GramMeasure(floats).zero_events(tol)  # the +-v pair
+
+
 def test_omega_coevent_always_preclusive():
     rng = np.random.default_rng(3)
     for _ in range(20):

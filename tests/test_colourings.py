@@ -9,7 +9,7 @@ from pkslab.colourings import (
     act_on_event,
     basis_chain,
     basis_name,
-    count_consistent_restricted,
+    consistent_assignments,
     enumerate_seed_colourings,
     fiducial_seed,
     gamma_p,
@@ -83,11 +83,20 @@ def test_ks_theorem_unsat_certificate():
 
 def test_restricted_counts():
     b1 = basis_chain()[0].indices
-    assert count_consistent_restricted(b1) == 3
+    assert len(consistent_assignments(b1)) == 3
     window = seed_window()
-    assert count_consistent_restricted(window, include_pairs=False) == 24
+    assert len(consistent_assignments(window, include_pairs=False)) == 24
     # the lone cross pair (001, 110) inside the window rules out 4 of the 24
-    assert count_consistent_restricted(window, include_pairs=True) == 20
+    assert len(consistent_assignments(window, include_pairs=True)) == 20
+
+
+def test_window_assignments_are_the_seeds_without_the_cross_pair():
+    """With pairs imposed, the window's assignments are the seeds that do
+    not green both 001 and 110, in the seeds' order."""
+    i001, i110 = ray_index("001"), ray_index("110")
+    kept = [s for s in enumerate_seed_colourings() if not (s[i001] and s[i110])]
+    assert len(kept) == 20
+    assert list(consistent_assignments(seed_window())) == kept
 
 
 def test_seed_enumeration():

@@ -541,9 +541,8 @@ def _reference_zero_rows(ctx, max_fixed):
         bit = np.int64(1) << chains.ray_at[p]
         pos = np.column_stack([pos[par], p])
         green, red = green[par] | np.where(g, bit, 0), red[par] | np.where(g, 0, bit)
-        greens = (green[z, None] >> chains.ray_at[pos[z]] & 1).astype(bool)
         collapse = chains.op_norms(op[z], p[z]) < ctx.threshold
-        code = explorer._classify(chains, pos[z], greens, collapse)
+        code = explorer._classify(chains, pos[z], green[z], red[z], collapse)
         zeros.append((np.full(z.sum(), k), green[z], red[z], norm[z], code))
     n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
     order = np.lexsort((red, green, n_fixed))
