@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -503,7 +504,10 @@ def _add_context_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--detector", help="ray label whose stage gets detectors in both beams")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="pkslab",
         description="Verifiable laboratory for the Peres-Kochen-Specker system "

@@ -10,11 +10,14 @@ event states (a convex combination of those terms for a mixed state).  A
 context may carry a detector at one stage; its functional is then the sum
 of the two functionals restricted to the detected ray's colour sectors.
 
-Each context memoises the states of the homogeneous events it evaluates:
-per sector and mixture term, built once and read-only.  The functional of
-a union sums its members' memoised states, so a member shared by many
-unions, or evaluated again, costs a dictionary lookup.  The memo is
-cleared when it reaches `STATE_MEMO_CAP` events.
+`Context.decoherence` evaluates one pair of events, stepping each member's
+chain of fixed projectors.  `Context.decoherences` evaluates many pairs in
+one numpy pass: it builds each distinct member once per call and steps all
+chains together, with the same 3x3 matrix-vector products, member sums and
+term sums as the scalar functional, so every value is bit for bit equal to
+`decoherence` on the same pair.  The axiom check and the preclusion check
+use the batch; single evaluations (norms, zero tests) stay scalar, since a
+batch of one costs about three scalar calls.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import numpy as np
 
 from .colourings import Colouring, HomogeneousEvent, pks_events
 from .rays import N_RAYS, PERES_RAYS, ray_index
-from .spin import ray_projector
+from .spin import _ray_projectors, ray_projector
 
 DEFAULT_THRESHOLD = 1e-10
-# A context forgets its memoised event states once it holds this many events.
-STATE_MEMO_CAP = 2**14
+# Rows per numpy product in `Context.decoherences`: it bounds the temporaries,
+# not the work, so results do not depend on it.
+_PASS_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,10 @@ class Context:
     sector-restricted functionals, so events differing in that ray's colour
     decohere exactly.
 
-    The context memoises, per homogeneous event, its states in each sector
-    (the whole space, or red then green under a detector) and mixture term;
-    it forgets them all once it holds `STATE_MEMO_CAP` events.  Its
-    configuration never changes, so evaluations may run concurrently: two
-    threads may build the same state twice, with equal values.
+    `decoherence` evaluates one pair; `decoherences` evaluates a batch of
+    pairs in one pass, bit for bit equal to `decoherence` pair by pair.  A
+    context holds no state beyond its configuration, which never changes,
+    so evaluations may run concurrently.
     """
 
     def __init__(
@@ -177,7 +180,6 @@ class Context:
         self.detected_ray = None if detector is None else self.ordering.ray_at[detector - 1]
         # position of each ray in the chain, for collapsing free projectors
         self._position = {r: p for p, r in enumerate(self.ordering.ray_at)}
-        self._states: dict[HomogeneousEvent, tuple[list[np.ndarray] | None, ...]] = {}
 
     # -- states ---------------------------------------------------------------
 
@@ -202,32 +204,25 @@ class Context:
 
     def _term_states(self, event: HomogeneousEvent) -> list[np.ndarray]:
         """`event_state` of the event for each mixture term, in term order,
-        with the chain computed once; the arrays are read-only."""
+        with the chain computed once."""
         chain = [ray_projector(ray, green) for ray, green in self._chain(event)]
         out = []
         for _, psi in self.state.terms:
             v = np.array(psi, dtype=complex)
             for p in chain:
                 v = p @ v
-            v.flags.writeable = False
             out.append(v)
         return out
 
     def _sector_states(self, event: HomogeneousEvent) -> tuple[list[np.ndarray] | None, ...]:
         """Per sector (the whole space, or red then green under a detector),
         the term states of the event's restriction, or None where the
-        restriction is empty.  Memoised per event; see `STATE_MEMO_CAP`."""
-        states = self._states.get(event)
-        if states is None:
-            if self.detector is None:
-                cuts = (event,)
-            else:
-                cuts = tuple(event.with_fixed(self.detected_ray, g) for g in (False, True))
-            states = tuple(None if e is None else self._term_states(e) for e in cuts)
-            if len(self._states) >= STATE_MEMO_CAP:
-                self._states.clear()
-            self._states[event] = states
-        return states
+        restriction is empty."""
+        if self.detector is None:
+            cuts = (event,)
+        else:
+            cuts = tuple(event.with_fixed(self.detected_ray, g) for g in (False, True))
+        return tuple(None if e is None else self._term_states(e) for e in cuts)
 
     def _union_states(self, event) -> list[list[np.ndarray]]:
         """Per sector and mixture term, the sum of the member states of an
@@ -240,6 +235,57 @@ class Context:
             ]
             for s in range(1 if self.detector is None else 2)
         ]
+
+    def _member_states(self, masks: np.ndarray) -> np.ndarray:
+        """States of distinct homogeneous events, given as rows of (green,
+        red) masks, shape (len + 1, sectors, terms, 3); the extra last row
+        is zero, as is a sector the member empties.
+
+        Each (member, sector) row is one chain of fixed projectors in
+        position order.  The rows are sorted by chain length, longest first,
+        so chain step j acts on a prefix of them; each step applies one
+        stacked (3,3)@(3,1) product per row and term, the product
+        `_term_states` applies one at a time."""
+        n_sectors = 1 if self.detector is None else 2
+        green, red = masks[:, 0], masks[:, 1]
+        if self.detector is not None:
+            # (member, sector) rows, red sector first: the detected bit is added
+            # in that colour, and a member fixing the other colour empties it
+            bit = np.int64(1) << self.detected_ray
+            green = np.stack([green, green | bit], axis=1).ravel()
+            red = np.stack([red | bit, red], axis=1).ravel()
+        empty = (green & red) != 0
+        rays = np.array(self.ordering.ray_at)  # ray at each position
+        # per row, the fixed bit at each position
+        fixed = np.unpackbits(
+            (green | red).astype("<i8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )[:, rays]
+        fixed[empty] = 0
+        length = fixed.sum(axis=1, dtype=np.int64)
+        order = np.argsort(-length, kind="stable")
+        length = length[order]
+        # the fixed rays of the sorted rows, row by row in position order:
+        # step j of row i is entry first[i] + j
+        chain_rays = rays[np.nonzero(fixed[order])[1]]
+        first = np.cumsum(length) - length
+        # each step's projector as an index into the (ray, outcome) table;
+        # green is outcome 0
+        green_bit = (np.repeat(green[order], length) >> chain_rays) & 1
+        table_at = (2 * chain_rays + 1 - green_bit).astype(np.int8)
+        del fixed, chain_rays, green_bit  # not held through the steps
+        psi = np.array([v for _, v in self.state.terms])
+        v = np.empty((len(order), len(psi), 3), dtype=complex)
+        v[:] = psi
+        v[empty[order]] = 0
+        projectors = _ray_projectors().reshape(-1, 3, 3)
+        for j in range(int(length.max(initial=0))):
+            at = first[: np.count_nonzero(length > j)] + j
+            for lo in range(0, len(at), _PASS_ROWS):
+                p = projectors[table_at[at[lo : lo + _PASS_ROWS]]]
+                v[lo : lo + len(p)] = np.matmul(p[:, None], v[lo : lo + len(p), :, :, None])[..., 0]
+        out = np.zeros((len(masks) + 1, n_sectors, len(psi), 3), dtype=complex)
+        out[:-1].reshape(-1, len(psi), 3)[order] = v
+        return out
 
     # -- the functional ---------------------------------------------------------
 
@@ -256,6 +302,60 @@ class Context:
                 out += w * np.vdot(va, vb)
             sums.append(complex(out))
         return sums[0] if self.detector is None else complex(sum(sums, 0j))
+
+    def decoherences(self, a_events, b_events) -> np.ndarray:
+        """D(a, b) for each pair of two equal-length sequences of events or
+        unions, as a complex array, bit for bit equal to `decoherence` on each
+        pair.  Each distinct homogeneous member is built once per call; a
+        union's state is the sum of its members' from zero, in member order;
+        the terms and then the sectors are summed as `decoherence` sums them,
+        and the inner product is the stacked conj(a)(1,3)@b(3,1), which
+        equals `np.vdot`."""
+        if len(a_events) != len(b_events):
+            raise ValueError("decoherences takes two sequences of equal length")
+        index: dict[tuple[int, int], int] = {}  # (green, red) mask -> member row
+
+        def member_slots(events) -> np.ndarray:
+            """Per member slot, the member row of each event, or -1 (the
+            zero row) where an event has fewer members."""
+            sizes = np.fromiter((len(_members(e)) for e in events), dtype=int, count=len(events))
+            rows = np.fromiter(
+                (index.setdefault((m.green_mask, m.red_mask), len(index))
+                 for e in events for m in _members(e)),
+                dtype=int, count=int(sizes.sum()),
+            )
+            first = np.cumsum(sizes) - sizes
+            slots = np.full((sizes.max(initial=0), len(events)), -1)
+            for k, slot in enumerate(slots):
+                has = sizes > k
+                slot[has] = rows[first[has] + k]
+            return slots
+
+        slots_a = member_slots(a_events)
+        slots_b = member_slots(b_events)
+        states = self._member_states(np.array(list(index), dtype=np.int64).reshape(-1, 2))
+
+        def union_states(slots: np.ndarray) -> np.ndarray:
+            # a partial sum from +0 is never -0, so adding a zero row leaves
+            # it unchanged to the bit
+            out = np.zeros((slots.shape[1],) + states.shape[1:], dtype=complex)
+            for rows in slots:
+                out += states[rows]
+            return out
+
+        dots = np.empty((len(a_events),) + states.shape[1:3], dtype=complex)
+        for lo in range(0, len(dots), _PASS_ROWS):
+            cut = slice(lo, lo + _PASS_ROWS)
+            sa = union_states(slots_a[:, cut])
+            sb = union_states(slots_b[:, cut])
+            dots[cut] = np.matmul(sa.conj()[..., None, :], sb[..., :, None])[..., 0, 0]
+        sums = []
+        for s in range(dots.shape[1]):
+            out = np.zeros(len(dots), dtype=complex)
+            for t, (w, _) in enumerate(self.state.terms):
+                out += w * dots[:, s, t]
+            sums.append(out)
+        return sums[0] if self.detector is None else 0j + sums[0] + sums[1]
 
     def measure(self, a) -> float:
         return float(self.decoherence(a, a).real)
@@ -332,22 +432,22 @@ def verify_pks_zero(ctx: Context) -> PksZeroReport:
     """Measure every all-red basis event and all-green pair event, plus
     every disjoint union of them; all must vanish.  No three of the events
     are pairwise disjoint, so the unions are the 192 disjoint pairs, in
-    `itertools.combinations` order.  Each event and union is measured
-    once; its norm is `Context.norm`'s square root."""
-
-    def entry(name: str, event) -> tuple[str, float, float]:
-        m = ctx.measure(event)
-        return name, float(np.sqrt(max(m, 0.0))), m
-
+    `itertools.combinations` order.  All are measured in one
+    `Context.decoherences` call; each norm is `Context.norm`'s square root."""
     events = pks_events()
     names = [e.describe() for e in events]
-    entries = [entry(name, e) for name, e in zip(names, events)]
-    unions = [
-        entry(f"{names[i]} | {names[j]}", EventUnion((events[i], events[j])))
+    pairs = [
+        (i, j)
         for i, j in itertools.combinations(range(len(events)), 2)
         if events[i].is_disjoint_from(events[j])
     ]
-    return PksZeroReport(tuple(entries), tuple(unions), ctx.threshold)
+    items = [*events, *(EventUnion((events[i], events[j])) for i, j in pairs)]
+    names += [f"{names[i]} | {names[j]}" for i, j in pairs]
+    entries = tuple(
+        (name, float(np.sqrt(max(d.real, 0.0))), d.real)
+        for name, d in zip(names, ctx.decoherences(items, items).tolist())
+    )
+    return PksZeroReport(entries[: len(events)], entries[len(events) :], ctx.threshold)
 
 
 # --- sampling helpers shared by the check commands and the test suite ----------
@@ -392,35 +492,43 @@ class AxiomReport:
 def check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
     """Residuals of the decoherence-functional axioms and of the three-set
     interference sum rule, over random homogeneous events, for any context,
-    with or without a detector.  Residuals are aggregated so that a NaN
-    anywhere shows in the report (and fails `passes`) instead of vanishing.
-    At least one sample and one sum-rule trial are required: residuals over
-    no events would pass with no evidence."""
+    with or without a detector.  The context needs one method,
+    `decoherences(a_events, b_events)`, the functional on pairs of events
+    and unions as a complex array (see `Context.decoherences`): every term
+    of every residual is one value of it, all drawn in one call.  Residuals
+    are aggregated so that a NaN anywhere shows in the report (and fails
+    `passes`) instead of vanishing.  At least one sample and one sum-rule
+    trial are required: residuals over no events would pass with no
+    evidence."""
     if samples < 1 or sum_rule_trials < 1:
         raise ValueError("samples and sum_rule_trials must be at least 1")
-    herm, add, diag, sum_rule = [], [], [], []
+    lhs, rhs = [], []  # D(lhs[i], rhs[i]) is term i
     for _ in range(samples):
         a = random_homogeneous_event(rng)
         b = random_homogeneous_event(rng)
-        herm.append(abs(ctx.decoherence(a, b) - ctx.decoherence(b, a).conjugate()))
         x, y, _ = random_disjoint_triple(rng)
         z = random_homogeneous_event(rng)
-        lhs = ctx.decoherence(EventUnion((x, y)), z)
-        add.append(abs(lhs - ctx.decoherence(x, z) - ctx.decoherence(y, z)))
-        diag.append(ctx.measure(a))
-    norm_res = abs(ctx.decoherence(HomogeneousEvent.everything(), HomogeneousEvent.everything()) - 1.0)
+        lhs += [a, b, EventUnion((x, y)), x, y, a]
+        rhs += [b, a, z, z, z, a]
+    lhs.append(HomogeneousEvent.everything())
+    rhs.append(lhs[-1])
     for _ in range(sum_rule_trials):
         a, b, c = random_disjoint_triple(rng)
-        lhs = ctx.measure(EventUnion((a, b, c)))
-        rhs = (
-            ctx.measure(EventUnion((a, b)))
-            + ctx.measure(EventUnion((b, c)))
-            + ctx.measure(EventUnion((a, c)))
-            - ctx.measure(a)
-            - ctx.measure(b)
-            - ctx.measure(c)
-        )
-        sum_rule.append(abs(lhs - rhs))
+        lhs += [EventUnion((a, b, c)), EventUnion((a, b)), EventUnion((b, c)), EventUnion((a, c))]
+        lhs += [a, b, c]
+    rhs += lhs[len(rhs) :]  # the sum-rule terms are measures
+    # as Python complex values: `np.abs` can differ from `abs` in the last bit
+    values = iter(ctx.decoherences(lhs, rhs).tolist())
+    herm, add, diag, sum_rule = [], [], [], []
+    for _ in range(samples):
+        ab, ba, xy_z, x_z, y_z, aa = itertools.islice(values, 6)
+        herm.append(abs(ab - ba.conjugate()))
+        add.append(abs(xy_z - x_z - y_z))
+        diag.append(aa.real)
+    norm_res = abs(next(values) - 1.0)
+    for _ in range(sum_rule_trials):
+        abc, ab, bc, ac, a, b, c = (v.real for v in itertools.islice(values, 7))
+        sum_rule.append(abs(abc - (ab + bc + ac - a - b - c)))
     return AxiomReport(
         hermiticity=float(np.max(herm, initial=0.0)),
         additivity=float(np.max(add, initial=0.0)),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pkslab
-from pkslab.cli import main
+from pkslab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -229,6 +229,24 @@ def test_main_without_argv_exits_with_its_code(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a call's options must not leak
+    # into the next, so each in-process output equals a separate run's
+    assert build_parser() is build_parser()
+    commands = [
+        ["measure-check", "--detector", "021", "--samples", "3", "--format", "structured"],
+        ["lemma-fuzz", "--trials", "5", "--seed", "7"],
+        ["measure-check", "--samples", "3", "--seed", "5", "--format", "structured"],
+    ]
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        done = subprocess.run(
+            [sys.executable, "-m", "pkslab", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert (code, out) == (done.returncode, done.stdout), argv
+
+
 def test_measure_check_mixed_state_file(tmp_path, capsys):
     state_file = tmp_path / "state.json"
     state_file.write_text(
@@ -346,6 +364,7 @@ GOLDEN_TEXT = [
     "zero-scan --max-fixed 2",
     "zero-scan --max-fixed 2 --detector 021",
     "zero-scan --max-fixed 1 --budget 3",
+    "measure-check --detector 021 --seed 4",
 ]
 
 

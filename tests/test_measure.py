@@ -6,7 +6,7 @@ import pytest
 from conftest import random_mixed_state, random_ordering, random_pure_state
 from pkslab.colourings import Colouring, gamma_p, pks_events
 from pkslab.measure import (
-    STATE_MEMO_CAP,
+    AxiomReport,
     Context,
     EventUnion,
     HomogeneousEvent,
@@ -136,11 +136,8 @@ def test_axioms_on_random_contexts(rng):
 
 def test_axiom_residuals_propagate_nan(rng):
     class NanContext:
-        def decoherence(self, a, b):
-            return complex(np.nan, 0.0)
-
-        def measure(self, a):
-            return np.nan
+        def decoherences(self, a_events, b_events):
+            return np.full(len(a_events), complex(np.nan, 0.0))
 
     report = check_axioms(NanContext(), rng, samples=5, sum_rule_trials=5)
     for residual in ("hermiticity", "additivity", "positivity", "normalisation", "sum_rule"):
@@ -249,46 +246,38 @@ def test_detected_functional_is_the_sector_sum(rng):
     assert any(det.decoherence(a, b) != plain.decoherence(a, b) for a, b in pairs)
 
 
-def test_measure_builds_each_state_once(monkeypatch, rng):
-    """`measure(a)` is `decoherence(a, a)`, and it builds one state per
-    member and mixture term; under a detector, one per non-empty sector
-    member and term (two sectors for a member free on the detected ray, one
-    for a member fixing it).  The states are memoised per context: a second
-    `measure` and a cross term between measured events build nothing."""
+def test_batch_builds_each_member_once(monkeypatch, rng):
+    """One `decoherences` call builds the rows of each distinct homogeneous
+    member once, in one `_member_states` call, however many events and
+    unions of either list share it, equal members built apart included: one
+    row per member in a plain context, a red and a green row under a
+    detector."""
     built = []
-    original = Context._term_states
+    original = Context._member_states
 
-    def counting(self, event):
-        states = original(self, event)
-        built.append(len(states))
+    def recording(self, masks):
+        states = original(self, masks)
+        built.append((sorted(map(tuple, masks.tolist())), states.shape))
         return states
 
-    monkeypatch.setattr(Context, "_term_states", counting)
+    monkeypatch.setattr(Context, "_member_states", recording)
     ordering, state = random_ordering(rng), random_mixed_state(rng, terms=3)
-    triple = EventUnion((
-        HomogeneousEvent.from_fixed({0: True, 1: True}),
-        HomogeneousEvent.from_fixed({0: False, 1: True}),
-        HomogeneousEvent.from_fixed({0: True, 1: False}),
-    ))
+    x, y, z = random_disjoint_triple(rng)
     single = HomogeneousEvent.from_fixed({2: True, 3: False})
-    plain = Context(ordering, state)
-    det = Context(ordering, state, detector=ordering.position_of(0) + 1)
-    for ctx, counts in ((plain, (3, 9)), (det, (6, 9))):
-        for event, states in zip((single, triple), counts):
-            built.clear()
-            ctx.measure(event)
-            assert sum(built) == states
-            built.clear()
-            ctx.measure(event)
-            assert not built
-        ctx.decoherence(triple, single)
-        assert not built
-    cached = [v for sectors in det._states.values() for terms in sectors if terms for v in terms]
-    assert len(cached) == 15 and not any(v.flags.writeable for v in cached)
+    a_events = [EventUnion((x, y, z)), EventUnion((x, y)), single, x, EventUnion((y, z))]
+    equal = HomogeneousEvent.from_fixed({2: True, 3: False})  # == single, built apart
+    b_events = [single, EventUnion((z, x)), equal, y, z]
+    distinct = sorted((e.green_mask, e.red_mask) for e in (x, y, z, single))
+    for ctx, sectors in ((Context(ordering, state), 1),
+                         (Context(ordering, state, detector=ordering.position_of(0) + 1), 2)):
+        built.clear()
+        ctx.decoherences(a_events, b_events)
+        ctx.decoherences(a_events, a_events)
+        assert built == [(distinct, (len(distinct) + 1, sectors, 3, 3))] * 2
 
 
 def _reference_decoherence(ctx, a, b) -> complex:
-    """The functional without the memo: `event_state` of each member of each
+    """The functional member by member: `event_state` of each member of each
     sector restriction, summed from zero in member order, then weighted over
     the mixture terms in order, and the sectors (red, then green) added to
     0j."""
@@ -321,14 +310,17 @@ def _reference_decoherence(ctx, a, b) -> complex:
 
 @pytest.mark.parametrize("detected", [False, True])
 @pytest.mark.parametrize("terms", [1, 3])
-def test_memoised_functional_equals_unmemoised_reference(monkeypatch, rng, detected, terms):
-    """Bit-identical `decoherence`, `measure` and `norm` against the
-    reference on homogeneous events and 1-3 member unions, with the memo
-    both cold and warm, and with a cap small enough to clear it."""
+def test_functional_equals_reference(rng, detected, terms):
+    """Bit-identical `decoherences`, `decoherence`, `measure` and `norm`
+    against the reference, on homogeneous events with up to 29 fixed rays,
+    1-3 member unions, a union whose red sector is empty, and pairs where
+    `a is b`."""
     ordering = random_ordering(rng)
     state = random_pure_state(rng) if terms == 1 else random_mixed_state(rng, terms=3)
     ray = ordering.ray_at[9]
     events = [random_homogeneous_event(rng, max_fixed=4) for _ in range(15)]
+    events += [random_homogeneous_event(rng, max_fixed=29) for _ in range(10)]
+    events.append(HomogeneousEvent.everything())
     for _ in range(8):
         triple = random_disjoint_triple(rng)
         events += [EventUnion(triple[:k]) for k in (1, 2, 3)]
@@ -338,16 +330,76 @@ def test_memoised_functional_equals_unmemoised_reference(monkeypatch, rng, detec
         HomogeneousEvent.from_fixed({ray: True, (ray + 1) % N_RAYS: False}),
     )))
     pairs = [(a, events[int(rng.integers(len(events)))]) for a in events] + [(e, e) for e in events]
-    for cap in (STATE_MEMO_CAP, 7):
-        monkeypatch.setattr("pkslab.measure.STATE_MEMO_CAP", cap)
-        ctx = Context(ordering, state, detector=10 if detected else None)
-        for _ in range(2):
-            for a, b in pairs:
-                assert ctx.decoherence(a, b) == _reference_decoherence(ctx, a, b)
-                m = float(_reference_decoherence(ctx, a, a).real)
-                assert ctx.measure(a) == m
-                assert ctx.norm(a) == float(np.sqrt(max(m, 0.0)))
-        assert len(ctx._states) <= cap
+    ctx = Context(ordering, state, detector=10 if detected else None)
+    expect = [_reference_decoherence(ctx, a, b) for a, b in pairs]
+    lhs, rhs = (list(x) for x in zip(*pairs))
+    assert ctx.decoherences(lhs, rhs).tolist() == expect
+    assert ctx.decoherences(events, events).tolist() == expect[len(events):]
+    for (a, b), d in zip(pairs, expect):
+        assert ctx.decoherence(a, b) == d
+        m = float(_reference_decoherence(ctx, a, a).real)
+        assert ctx.measure(a) == m
+        assert ctx.norm(a) == float(np.sqrt(max(m, 0.0)))
+
+
+def test_batch_rejects_unequal_lengths(default_ctx):
+    e = HomogeneousEvent.everything()
+    with pytest.raises(ValueError, match="equal length"):
+        default_ctx.decoherences([e, e], [e])
+    assert default_ctx.decoherences([], []).shape == (0,)
+
+
+def _reference_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
+    """`check_axioms` on the scalar functional: the residuals computed in
+    sampling order, one `decoherence` or `measure` call per term."""
+    herm, add, diag, sum_rule = [], [], [], []
+    for _ in range(samples):
+        a = random_homogeneous_event(rng)
+        b = random_homogeneous_event(rng)
+        herm.append(abs(ctx.decoherence(a, b) - ctx.decoherence(b, a).conjugate()))
+        x, y, _ = random_disjoint_triple(rng)
+        z = random_homogeneous_event(rng)
+        lhs = ctx.decoherence(EventUnion((x, y)), z)
+        add.append(abs(lhs - ctx.decoherence(x, z) - ctx.decoherence(y, z)))
+        diag.append(ctx.measure(a))
+    norm_res = abs(ctx.decoherence(HomogeneousEvent.everything(), HomogeneousEvent.everything()) - 1.0)
+    for _ in range(sum_rule_trials):
+        a, b, c = random_disjoint_triple(rng)
+        lhs = ctx.measure(EventUnion((a, b, c)))
+        rhs = (
+            ctx.measure(EventUnion((a, b)))
+            + ctx.measure(EventUnion((b, c)))
+            + ctx.measure(EventUnion((a, c)))
+            - ctx.measure(a)
+            - ctx.measure(b)
+            - ctx.measure(c)
+        )
+        sum_rule.append(abs(lhs - rhs))
+    return AxiomReport(
+        hermiticity=float(np.max(herm, initial=0.0)),
+        additivity=float(np.max(add, initial=0.0)),
+        positivity=float(np.min(diag, initial=0.0)),
+        normalisation=norm_res,
+        sum_rule=float(np.max(sum_rule, initial=0.0)),
+        samples=samples,
+    )
+
+
+def test_axiom_report_equals_scalar_reference(rng):
+    """The batched `check_axioms` draws the same events from the same seed
+    and reports the scalar functional's residuals to the last bit."""
+    default = Ordering.default()
+    stage = default.position_of(ray_index("021")) + 1
+    contexts = [
+        Context(),
+        Context(detector=stage),
+        Context(default, random_mixed_state(rng, terms=3), detector=stage),
+        Context(random_ordering(rng)),
+    ]
+    for ctx in contexts:
+        for seed in range(5):
+            report = check_axioms(ctx, np.random.default_rng(seed))
+            assert report == _reference_axioms(ctx, np.random.default_rng(seed))
 
 
 def test_pks_zero_measures_every_disjoint_union(monkeypatch, rng):
