@@ -283,7 +283,7 @@ def cmd_zero_scan(args) -> dict:
             "status": verdict.status,
             "scope": verdict.scope,
             "witness": [e.describe() for e in verdict.witness] if verdict.witness else None,
-            "witness_norms": [ctx.norm(e) for e in verdict.witness] if verdict.witness else None,
+            "witness_norms": ctx.norms(verdict.witness) if verdict.witness else None,
         },
         "pks_only_coverage": explorer.pks_only_coverage(explorer.phi_m_support()).status,
         "norm_margin": {

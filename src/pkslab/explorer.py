@@ -480,7 +480,7 @@ def last_ray_021_construction(ctx: Context) -> LastStageConstruction:
         raise ValueError("construction requires ray 021 at position 33")
     gp, gpp = phi_m_support()
     e1, e2 = _gap_pair(gp, gpp, ctx.ordering)
-    n1, n2 = ctx.norm(e1), ctx.norm(e2)
+    n1, n2 = ctx.norms([e1, e2])
     if n1 >= ctx.threshold or n2 >= ctx.threshold:
         raise AssertionError("gap events failed to be measure zero")
     if not e1.is_disjoint_from(e2):
@@ -494,8 +494,9 @@ def structural_threat_pairs(ctx: Context) -> EventArray:
     """The structural candidates whose norm falls below the context
     threshold, in order: for each ray where the support colourings disagree
     (in ray order), gamma_P on B11 plus that ray and gamma_P' on B7 plus
-    that ray; then the B11/B7 gap pair.  Each is tested once on its own:
-    which of them pair into a cover is for `coverage_check` alone."""
+    that ray; then the B11/B7 gap pair.  Each is tested once on its own,
+    all in one `Context.norms` call: which of them pair into a cover is for
+    `coverage_check` alone."""
     gp, gpp = phi_m_support()
     b11, b7 = set(_chain_basis(11)), set(_chain_basis(7))
     candidates = [
@@ -506,7 +507,8 @@ def structural_threat_pairs(ctx: Context) -> EventArray:
                   HomogeneousEvent.agreeing_with(gpp, b7 | {w}))
     ]
     candidates += _gap_pair(gp, gpp, ctx.ordering)
-    return EventArray.of([e for e in candidates if ctx.is_zero(e)])
+    norms = ctx.norms(candidates)
+    return EventArray.of([e for e, n in zip(candidates, norms) if n < ctx.threshold])
 
 
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:

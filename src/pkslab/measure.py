@@ -10,14 +10,11 @@ event states (a convex combination of those terms for a mixed state).  A
 context may carry a detector at one stage; its functional is then the sum
 of the two functionals restricted to the detected ray's colour sectors.
 
-`Context.decoherence` evaluates one pair of events, stepping each member's
-chain of fixed projectors.  `Context.decoherences` evaluates many pairs in
-one numpy pass: it builds each distinct member once per call and steps all
-chains together, with the same 3x3 matrix-vector products, member sums and
-term sums as the scalar functional, so every value is bit for bit equal to
-`decoherence` on the same pair.  The axiom check and the preclusion check
-use the batch; single evaluations (norms, zero tests) stay scalar, since a
-batch of one costs about three scalar calls.
+`Context.decoherences` is the one evaluator of the functional: it takes
+pairs of events in one numpy pass, building each distinct member once and
+stepping all their chains of fixed projectors together.  A single D(a, b),
+a measure, a norm or a zero test is a batch of one; callers with several
+events make one call.
 """
 
 from __future__ import annotations
@@ -156,10 +153,10 @@ class Context:
     sector-restricted functionals, so events differing in that ray's colour
     decohere exactly.
 
-    `decoherence` evaluates one pair; `decoherences` evaluates a batch of
-    pairs in one pass, bit for bit equal to `decoherence` pair by pair.  A
-    context holds no state beyond its configuration, which never changes,
-    so evaluations may run concurrently.
+    `decoherences` evaluates a batch of pairs in one pass; `decoherence`,
+    `measure`, `norm`, `norms` and `is_zero` are views of it on one pair or
+    one list of events.  A context holds no state beyond its configuration,
+    which never changes, so evaluations may run concurrently.
     """
 
     def __init__(
@@ -202,40 +199,6 @@ class Context:
             v = ray_projector(ray, green) @ v
         return v
 
-    def _term_states(self, event: HomogeneousEvent) -> list[np.ndarray]:
-        """`event_state` of the event for each mixture term, in term order,
-        with the chain computed once."""
-        chain = [ray_projector(ray, green) for ray, green in self._chain(event)]
-        out = []
-        for _, psi in self.state.terms:
-            v = np.array(psi, dtype=complex)
-            for p in chain:
-                v = p @ v
-            out.append(v)
-        return out
-
-    def _sector_states(self, event: HomogeneousEvent) -> tuple[list[np.ndarray] | None, ...]:
-        """Per sector (the whole space, or red then green under a detector),
-        the term states of the event's restriction, or None where the
-        restriction is empty."""
-        if self.detector is None:
-            cuts = (event,)
-        else:
-            cuts = tuple(event.with_fixed(self.detected_ray, g) for g in (False, True))
-        return tuple(None if e is None else self._term_states(e) for e in cuts)
-
-    def _union_states(self, event) -> list[list[np.ndarray]]:
-        """Per sector and mixture term, the sum of the member states of an
-        event or union from zero, in member order."""
-        members = [self._sector_states(e) for e in _members(event)]
-        return [
-            [
-                sum((m[s][t] for m in members if m[s] is not None), np.zeros(3, dtype=complex))
-                for t in range(len(self.state.terms))
-            ]
-            for s in range(1 if self.detector is None else 2)
-        ]
-
     def _member_states(self, masks: np.ndarray) -> np.ndarray:
         """States of distinct homogeneous events, given as rows of (green,
         red) masks, shape (len + 1, sectors, terms, 3); the extra last row
@@ -245,7 +208,7 @@ class Context:
         position order.  The rows are sorted by chain length, longest first,
         so chain step j acts on a prefix of them; each step applies one
         stacked (3,3)@(3,1) product per row and term, the product
-        `_term_states` applies one at a time."""
+        `event_state` applies one at a time."""
         n_sectors = 1 if self.detector is None else 2
         green, red = masks[:, 0], masks[:, 1]
         if self.detector is not None:
@@ -289,28 +252,14 @@ class Context:
 
     # -- the functional ---------------------------------------------------------
 
-    def decoherence(self, a, b) -> complex:
-        """D(a, b): per sector (red, then green, under a detector) the
-        weighted sum over mixture terms of <a's state, b's state>.  The union
-        states of `a` are reused for `b` when `b is a`."""
-        sa = self._union_states(a)
-        sb = sa if b is a else self._union_states(b)
-        sums = []
-        for xa, xb in zip(sa, sb):
-            out = 0j
-            for (w, _), va, vb in zip(self.state.terms, xa, xb):
-                out += w * np.vdot(va, vb)
-            sums.append(complex(out))
-        return sums[0] if self.detector is None else complex(sum(sums, 0j))
-
     def decoherences(self, a_events, b_events) -> np.ndarray:
         """D(a, b) for each pair of two equal-length sequences of events or
-        unions, as a complex array, bit for bit equal to `decoherence` on each
-        pair.  Each distinct homogeneous member is built once per call; a
-        union's state is the sum of its members' from zero, in member order;
-        the terms and then the sectors are summed as `decoherence` sums them,
-        and the inner product is the stacked conj(a)(1,3)@b(3,1), which
-        equals `np.vdot`."""
+        unions, as a complex array.  Each distinct homogeneous member is
+        built once per call; a union's state is the sum of its members' from
+        zero, in member order.  Per sector, the inner products conj(a)(1,3)
+        @b(3,1) (equal to `np.vdot`) are weighted and summed over the mixture
+        terms in order, from zero; under a detector the sectors are then
+        added as 0j + red + green."""
         if len(a_events) != len(b_events):
             raise ValueError("decoherences takes two sequences of equal length")
         index: dict[tuple[int, int], int] = {}  # (green, red) mask -> member row
@@ -357,15 +306,29 @@ class Context:
             sums.append(out)
         return sums[0] if self.detector is None else 0j + sums[0] + sums[1]
 
+    def decoherence(self, a, b) -> complex:
+        """D(a, b) for one pair: `decoherences` on a batch of one."""
+        return complex(self.decoherences([a], [b])[0])
+
     def measure(self, a) -> float:
-        return float(self.decoherence(a, a).real)
+        """mu(a) = D(a, a)."""
+        return self.decoherence(a, a).real
 
     def norm(self, a) -> float:
-        """Square root of the measure (the event-state norm for a pure state)."""
-        return float(np.sqrt(max(self.measure(a), 0.0)))
+        return _norm(self.measure(a))
+
+    def norms(self, events) -> list[float]:
+        """`norm` of each event, from one `decoherences` call."""
+        return [_norm(d.real) for d in self.decoherences(events, events).tolist()]
 
     def is_zero(self, a) -> bool:
         return self.norm(a) < self.threshold
+
+
+def _norm(measure: float) -> float:
+    """An event's norm from its measure, sqrt(max(mu, 0)): the event-state
+    norm for a pure state.  Rounding can leave a zero measure just below 0."""
+    return math.sqrt(max(measure, 0.0))
 
 
 def truncated_path_states(
@@ -433,7 +396,8 @@ def verify_pks_zero(ctx: Context) -> PksZeroReport:
     every disjoint union of them; all must vanish.  No three of the events
     are pairwise disjoint, so the unions are the 192 disjoint pairs, in
     `itertools.combinations` order.  All are measured in one
-    `Context.decoherences` call; each norm is `Context.norm`'s square root."""
+    `Context.decoherences` call; each norm is `_norm` of the measure, as in
+    `Context.norm`."""
     events = pks_events()
     names = [e.describe() for e in events]
     pairs = [
@@ -444,7 +408,7 @@ def verify_pks_zero(ctx: Context) -> PksZeroReport:
     items = [*events, *(EventUnion((events[i], events[j])) for i, j in pairs)]
     names += [f"{names[i]} | {names[j]}" for i, j in pairs]
     entries = tuple(
-        (name, float(np.sqrt(max(d.real, 0.0))), d.real)
+        (name, _norm(d.real), d.real)
         for name, d in zip(names, ctx.decoherences(items, items).tolist())
     )
     return PksZeroReport(entries[: len(events)], entries[len(events) :], ctx.threshold)

@@ -278,6 +278,24 @@ def test_zero_scan_default(capsys):
     assert report["pks_only_coverage"] == "not-covered-within-scope"
 
 
+def test_zero_scan_single_norms_are_pinned(tmp_path, capsys):
+    """The witness norms and the 021-last construction's gap-event norms, to
+    the bit: the text output prints them only at three digits."""
+    from pkslab.measure import Ordering
+    from pkslab.rays import ray_index
+
+    code, report = run_json(capsys, "zero-scan", "--max-fixed", "2")
+    assert code == 0
+    assert report["coverage"]["witness_norms"] == [4.2955926954859033e-16, 5.995290274999576e-16]
+    f = tmp_path / "ordering.json"
+    f.write_text(json.dumps(list(Ordering.default().with_ray_last(ray_index("021")).labels())))
+    code, report = run_json(capsys, "zero-scan", "--ordering", str(f), "--max-fixed", "2")
+    assert code == 0
+    built = report["final_stage_construction"]
+    assert (built["norm1"], built["norm2"]) == (6.409374830182717e-16, 1.01606640318091e-17)
+    assert report["coverage"]["witness_norms"] == [5.768888059150692e-16, 5.244547743905053e-16]
+
+
 def test_zero_scan_reports_norm_margin(capsys):
     for depth, min_nonzero in (("3", 7.58e-3), ("4", 1.11e-3)):
         code, report = run_json(capsys, "zero-scan", "--max-fixed", depth)

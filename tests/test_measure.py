@@ -280,7 +280,7 @@ def _reference_decoherence(ctx, a, b) -> complex:
     """The functional member by member: `event_state` of each member of each
     sector restriction, summed from zero in member order, then weighted over
     the mixture terms in order, and the sectors (red, then green) added to
-    0j."""
+    0j.  The states of `a` serve for `b` when `b is a`."""
 
     def members(event):
         return event.members if isinstance(event, EventUnion) else (event,)
@@ -293,17 +293,25 @@ def _reference_decoherence(ctx, a, b) -> complex:
             for g in (False, True)
         ]
 
-    def state(ms, psi):
-        v = np.zeros(3, dtype=complex)
-        for e in ms:
-            v = v + ctx.event_state(e, psi)
-        return v
+    def states(event):
+        """Per sector and mixture term, the member states summed from zero."""
+        out = []
+        for ms in sectors(event):
+            out.append([])
+            for _, psi in ctx.state.terms:
+                v = np.zeros(3, dtype=complex)
+                for e in ms:
+                    v = v + ctx.event_state(e, psi)
+                out[-1].append(v)
+        return out
 
+    sa = states(a)
+    sb = sa if b is a else states(b)
     sums = []
-    for ma, mb in zip(sectors(a), sectors(b)):
+    for xa, xb in zip(sa, sb):
         out = 0j
-        for w, psi in ctx.state.terms:
-            out += w * np.vdot(state(ma, psi), state(mb, psi))
+        for (w, _), va, vb in zip(ctx.state.terms, xa, xb):
+            out += w * np.vdot(va, vb)
         sums.append(complex(out))
     return sums[0] if ctx.detector is None else complex(sum(sums, 0j))
 
@@ -350,31 +358,30 @@ def test_batch_rejects_unequal_lengths(default_ctx):
 
 
 def _reference_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
-    """`check_axioms` on the scalar functional: the residuals computed in
-    sampling order, one `decoherence` or `measure` call per term."""
+    """`check_axioms` on the reference functional: the residuals computed in
+    sampling order, one `_reference_decoherence` call per term."""
+
+    def d(a, b):
+        return _reference_decoherence(ctx, a, b)
+
+    def mu(a):
+        return d(a, a).real
+
     herm, add, diag, sum_rule = [], [], [], []
     for _ in range(samples):
         a = random_homogeneous_event(rng)
         b = random_homogeneous_event(rng)
-        herm.append(abs(ctx.decoherence(a, b) - ctx.decoherence(b, a).conjugate()))
+        herm.append(abs(d(a, b) - d(b, a).conjugate()))
         x, y, _ = random_disjoint_triple(rng)
         z = random_homogeneous_event(rng)
-        lhs = ctx.decoherence(EventUnion((x, y)), z)
-        add.append(abs(lhs - ctx.decoherence(x, z) - ctx.decoherence(y, z)))
-        diag.append(ctx.measure(a))
-    norm_res = abs(ctx.decoherence(HomogeneousEvent.everything(), HomogeneousEvent.everything()) - 1.0)
+        add.append(abs(d(EventUnion((x, y)), z) - d(x, z) - d(y, z)))
+        diag.append(mu(a))
+    everything = HomogeneousEvent.everything()
+    norm_res = abs(d(everything, everything) - 1.0)
     for _ in range(sum_rule_trials):
         a, b, c = random_disjoint_triple(rng)
-        lhs = ctx.measure(EventUnion((a, b, c)))
-        rhs = (
-            ctx.measure(EventUnion((a, b)))
-            + ctx.measure(EventUnion((b, c)))
-            + ctx.measure(EventUnion((a, c)))
-            - ctx.measure(a)
-            - ctx.measure(b)
-            - ctx.measure(c)
-        )
-        sum_rule.append(abs(lhs - rhs))
+        pairs = mu(EventUnion((a, b))) + mu(EventUnion((b, c))) + mu(EventUnion((a, c)))
+        sum_rule.append(abs(mu(EventUnion((a, b, c))) - (pairs - mu(a) - mu(b) - mu(c))))
     return AxiomReport(
         hermiticity=float(np.max(herm, initial=0.0)),
         additivity=float(np.max(add, initial=0.0)),
@@ -387,7 +394,7 @@ def _reference_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) 
 
 def test_axiom_report_equals_scalar_reference(rng):
     """The batched `check_axioms` draws the same events from the same seed
-    and reports the scalar functional's residuals to the last bit."""
+    and reports the reference functional's residuals to the last bit."""
     default = Ordering.default()
     stage = default.position_of(ray_index("021")) + 1
     contexts = [
@@ -464,18 +471,73 @@ def test_gamma_p_basis_red_events_vanish(default_ctx):
 
 
 def test_sum_rule_thousand_triples_default_context(default_ctx):
+    """The three-set sum rule on 1000 random disjoint triples, all measured
+    in one `decoherences` call."""
     rng = np.random.default_rng(99)
-    worst = 0.0
+    events = []
     for _ in range(1000):
         a, b, c = random_disjoint_triple(rng)
-        lhs = default_ctx.measure(EventUnion((a, b, c)))
-        rhs = (
-            default_ctx.measure(EventUnion((a, b)))
-            + default_ctx.measure(EventUnion((b, c)))
-            + default_ctx.measure(EventUnion((a, c)))
-            - default_ctx.measure(a)
-            - default_ctx.measure(b)
-            - default_ctx.measure(c)
-        )
-        worst = max(worst, abs(lhs - rhs))
-    assert worst < 1e-10
+        events += [EventUnion((a, b, c)), EventUnion((a, b)), EventUnion((b, c)), EventUnion((a, c)), a, b, c]
+    mu = default_ctx.decoherences(events, events).real.reshape(-1, 7)
+    rhs = mu[:, 1] + mu[:, 2] + mu[:, 3] - mu[:, 4] - mu[:, 5] - mu[:, 6]
+    assert np.max(np.abs(mu[:, 0] - rhs)) < 1e-10
+
+
+def test_one_evaluation_route(monkeypatch):
+    """Every value of the functional comes from `decoherences` and its
+    `_member_states`: the single views make one member build each, and
+    `structural_threat_pairs` and `last_ray_021_construction` make one
+    `decoherences` call each, in a plain, a detected and a maximally mixed
+    context.  The structural zeros are the ten candidates whose reference
+    norm falls below the threshold."""
+    from pkslab.explorer import (
+        last_ray_021_construction,
+        maximally_mixed_state,
+        structural_threat_pairs,
+    )
+
+    built, batches = [], []
+    member_states, decoherences = Context._member_states, Context.decoherences
+
+    def recording_members(self, masks):
+        built.append(len(masks))
+        return member_states(self, masks)
+
+    def recording_batches(self, a_events, b_events):
+        batches.append(list(a_events))
+        return decoherences(self, a_events, b_events)
+
+    monkeypatch.setattr(Context, "_member_states", recording_members)
+    monkeypatch.setattr(Context, "decoherences", recording_batches)
+    ordering = Ordering.default().with_ray_last(ray_index("021"))
+    a = HomogeneousEvent.from_fixed({0: True, 5: False})
+    b = EventUnion(random_disjoint_triple(np.random.default_rng(7)))
+    for ctx in (
+        Context(ordering),
+        Context(ordering, detector=N_RAYS),
+        Context(ordering, maximally_mixed_state()),
+    ):
+        for single in (
+            lambda: ctx.decoherence(a, b),
+            lambda: ctx.measure(b),
+            lambda: ctx.norm(a),
+            lambda: ctx.is_zero(b),
+        ):
+            del built[:], batches[:]
+            single()
+            assert len(batches) == 1 and len(built) == 1
+        del built[:], batches[:]
+        zeros = structural_threat_pairs(ctx)
+        assert len(batches) == 1 and len(built) == 1
+        candidates = batches[0]
+        assert len(candidates) == 10
+        expect = [
+            (e.green_mask, e.red_mask)
+            for e in candidates
+            if np.sqrt(max(_reference_decoherence(ctx, e, e).real, 0.0)) < ctx.threshold
+        ]
+        assert list(zip(zeros.green.tolist(), zeros.red.tolist())) == expect
+        assert 0 < len(expect) < len(candidates)
+        batches.clear()
+        last_ray_021_construction(ctx)
+        assert len(batches) == 1 and len(batches[0]) == 2
