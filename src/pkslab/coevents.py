@@ -29,7 +29,7 @@ from .colourings import (
     gamma_p,
     gamma_p_prime,
 )
-from .rays import PERES_RAYS, RayType, apply_symmetry, symmetry_group
+from .rays import N_RAYS, ray_permutations
 
 # --- small explicit sample spaces ------------------------------------------------
 
@@ -91,6 +91,10 @@ def classical_coevents(n: int) -> tuple[CoEvent, ...]:
     return tuple(CoEvent(1 << i, n) for i in range(n))
 
 
+# Event pairs the singletons are tested on when n is too large for all of them.
+_SAMPLED_PAIRS = 2000
+
+
 def _is_homomorphism(co: CoEvent, pairs) -> bool:
     for a, b in pairs:
         if co.evaluate(a & b) != co.evaluate(a) * co.evaluate(b):
@@ -100,26 +104,25 @@ def _is_homomorphism(co: CoEvent, pairs) -> bool:
     return True
 
 
-def verify_classical_coevents(n: int, rng=None, samples: int = 2000) -> bool:
+def verify_classical_coevents(n: int) -> bool:
     """Check that the singleton co-events are exactly the homomorphisms.
 
-    Multiplicativity and additivity are tested over every event pair for
-    n <= 6; beyond that the singletons get sampled pairs, while every
-    non-singleton support is refuted by its canonical additivity witness
-    (split the support: both halves evaluate 0 but the union evaluates 1).
+    Multiplicativity and additivity are tested on the singletons over every
+    event pair for n <= 6, and over `_SAMPLED_PAIRS` pairs drawn from
+    `default_rng(0)` beyond that; every non-singleton support is refuted by
+    its canonical additivity witness (split the support: both halves
+    evaluate 0 but the union evaluates 1).
     """
     _check_n(n)
     if n <= 6:
         pairs = list(itertools.product(range(1 << n), repeat=2))
-        singleton_ok = all(_is_homomorphism(co, pairs) for co in classical_coevents(n))
     else:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         pairs = [
             (int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-            for _ in range(samples)
+            for _ in range(_SAMPLED_PAIRS)
         ]
-        singleton_ok = all(_is_homomorphism(co, pairs) for co in classical_coevents(n))
-    if not singleton_ok:
+    if not all(_is_homomorphism(co, pairs) for co in classical_coevents(n)):
         return False
     for support in range(1, 1 << n):
         if support.bit_count() < 2:
@@ -298,15 +301,10 @@ def transported_coevent(k: int, green: bool) -> SupportCoevent:
     each type, so some cube symmetry carries one of them onto ray k; ties
     pick the earliest symmetry in the fixed group enumeration.
     """
-    target_type: RayType = PERES_RAYS[k].ray_type
-    for source, ray in enumerate(PERES_RAYS):
-        valued = phi_m().evaluate(HomogeneousEvent.from_fixed({source: green}))
-        if not valued or ray.ray_type is not target_type:
+    for source in range(N_RAYS):
+        if not phi_m().evaluate(HomogeneousEvent.from_fixed({source: green})):
             continue
-        for g in symmetry_group():
-            if apply_symmetry(g, ray) == PERES_RAYS[k]:
-                moved = SupportCoevent(
-                    tuple(act_on_colouring(g, c) for c in phi_m().support)
-                )
-                return moved
+        for g, perm in ray_permutations().items():  # in `symmetry_group` order
+            if perm[source] == k:
+                return SupportCoevent(tuple(act_on_colouring(g, c) for c in phi_m().support))
     raise AssertionError(f"no transport found for ray {k}")

@@ -33,7 +33,7 @@ from .colourings import (
 )
 from . import spin
 from .measure import DEFAULT_THRESHOLD, Context, HomogeneousEvent, InitialState, Ordering
-from .rays import N_RAYS, PERES_RAYS, are_orthogonal, ray_index
+from .rays import N_RAYS, enumerate_orthogonal_pairs, ray_index
 
 MAX_SCAN_FIXED = 5
 
@@ -156,11 +156,12 @@ class ZeroScan(Sequence):
 
 @lru_cache(maxsize=1)
 def _ray_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact orthogonality of every ray pair (33x33), and the green masks of
-    the 72 all-green and the red masks of the 16 all-red preclusion events."""
-    orth = np.array(
-        [[are_orthogonal(a, b) for b in PERES_RAYS] for a in PERES_RAYS], dtype=bool
-    )
+    """Exact orthogonality of every ray pair (33x33, from the orthogonal
+    pairs `rays` enumerates), and the green masks of the 72 all-green and
+    the red masks of the 16 all-red preclusion events."""
+    orth = np.zeros((N_RAYS, N_RAYS), dtype=bool)
+    i, j = np.array([p.indices for p in enumerate_orthogonal_pairs()]).T
+    orth[i, j] = orth[j, i] = True
     pairs = np.array([e.green_mask for e in pks_events() if e.green_mask], dtype=np.int64)
     bases = np.array([e.red_mask for e in pks_events() if e.red_mask], dtype=np.int64)
     return orth, pairs, bases
@@ -247,19 +248,6 @@ def _classify(chains: _Chains, pos, green, red, collapse) -> np.ndarray:
     adjacent = (consecutive & orth[rays[:, :-1], rays[:, 1:]]).any(axis=1)
     # int8 codes: a scan keeps one per zero row until its records are built
     return np.select([pks, adjacent, collapse], [0, 1, 2], default=3).astype(np.int8)
-
-
-def classify_zero_event(ctx, event: HomogeneousEvent) -> Provenance:
-    """Why is this event's state zero?  One event through the scan's
-    classifier (see `_classify` for the precedence)."""
-    chains = _Chains(ctx)
-    pos = np.sort(ctx.ordering.positions()[list(event.fixed)]).reshape(1, -1)
-    green, red = np.array([event.green_mask]), np.array([event.red_mask])
-    op, last = chains.op, np.full(1, -1)
-    for p in pos.T:
-        op, last = chains.branch(op, last, p)[green >> chains.ray_at[p] & 1], p  # 0 red, 1 green
-    collapse = chains.op_norms(op, last) < ctx.threshold
-    return _PROVENANCES[_classify(chains, pos, green, red, collapse)[0]]
 
 
 # Children of one level are built about this many rows at a time.

@@ -175,25 +175,17 @@ class Context:
             raise ValueError("detector position must be in 1..33")
         self.detector = detector
         self.detected_ray = None if detector is None else self.ordering.ray_at[detector - 1]
-        # position of each ray in the chain, for collapsing free projectors
-        self._position = {r: p for p, r in enumerate(self.ordering.ray_at)}
 
     # -- states ---------------------------------------------------------------
 
-    def path_state(self, c: Colouring, psi: np.ndarray) -> np.ndarray:
-        """Full ordered product of all 33 projectors applied to psi."""
-        v = np.asarray(psi, dtype=complex)
-        for ray in self.ordering.ray_at:
-            v = ray_projector(ray, c.is_green(ray)) @ v
-        return v
-
     def _chain(self, event: HomogeneousEvent) -> list[tuple[int, bool]]:
         """Fixed (ray, colour) steps in ascending position order."""
-        steps = [(self._position[i], i, g) for i, g in event.fixed.items()]
-        return [(ray, green) for _, ray, green in sorted(steps)]
+        position = self.ordering.positions()
+        return sorted(event.fixed.items(), key=lambda step: position[step[0]])
 
     def event_state(self, event: HomogeneousEvent, psi: np.ndarray) -> np.ndarray:
-        """Event state via identity collapse: apply only the fixed projectors."""
+        """Event state via identity collapse: apply only the fixed projectors.
+        A path's state is the state of the event fixing all 33 rays."""
         v = np.asarray(psi, dtype=complex)
         for ray, green in self._chain(event):
             v = ray_projector(ray, green) @ v

@@ -256,9 +256,6 @@ class Symmetry:
         )
         return Ray.from_components(*x)
 
-    def apply_index(self, i: int) -> int:
-        return ray_index(self.apply(PERES_RAYS[i]))
-
     def compose(self, other: "Symmetry") -> "Symmetry":
         rows = tuple(
             tuple(

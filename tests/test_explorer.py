@@ -15,7 +15,6 @@ from pkslab.explorer import (
     ZeroEventRecord,
     ZeroScan,
     basis_gap_event,
-    classify_zero_event,
     context_coverage,
     coverage_check,
     last_ray_021_construction,
@@ -97,6 +96,16 @@ def reference_classify(ctx, event) -> Provenance:
     return Provenance.SCAN
 
 
+def test_orthogonality_table_is_the_exact_relation():
+    """The classifier's 33x33 table, filled from the enumerated pairs, is
+    the exact Z[sqrt2] orthogonality matrix."""
+    orth = explorer._ray_tables()[0]
+    exact = np.array([[are_orthogonal(a, b) for b in PERES_RAYS] for a in PERES_RAYS])
+    assert orth.dtype == bool and np.array_equal(orth, exact)
+    assert np.array_equal(orth, orth.T) and not orth.diagonal().any()
+    assert np.count_nonzero(orth) == 144
+
+
 def test_scan_counts_default_context(default_ctx):
     records = scan_zero_events(default_ctx, 2)
     assert len(records) == DEFAULT_ZEROS_MAX2
@@ -136,11 +145,27 @@ def test_scan_budget_guard(default_ctx):
         scan_zero_events(default_ctx, 0)
 
 
+def _fixed_counts(scan) -> np.ndarray:
+    """The number of fixed rays of each scan record."""
+    fixed = (scan.events.green | scan.events.red).astype("<i8").view(np.uint8)
+    return np.unpackbits(fixed.reshape(-1, 8), axis=1).sum(axis=1)
+
+
 def test_classification_examples(default_ctx):
+    """Three zeros, looked up in the depth-4 scan of the default context."""
+    scan = scan_zero_events(default_ctx, 4)
+
+    def provenance(event) -> Provenance:
+        row = np.flatnonzero(
+            (scan.events.green == event.green_mask) & (scan.events.red == event.red_mask)
+        )
+        assert row.size == 1, event.describe()
+        return scan[int(row[0])].provenance
+
     adjacent = HomogeneousEvent.from_fixed(
         {ray_index("001"): True, ray_index("010"): True, ray_index("112"): False}
     )
-    assert classify_zero_event(default_ctx, adjacent) is Provenance.ACCIDENTAL_ADJACENT
+    assert provenance(adjacent) is Provenance.ACCIDENTAL_ADJACENT
     # basis all red plus one faraway fixed ray: zero by summing out the middle
     collapse = HomogeneousEvent.from_fixed(
         {
@@ -150,9 +175,9 @@ def test_classification_examples(default_ctx):
             ray_index("2m1m1"): True,
         }
     )
-    assert classify_zero_event(default_ctx, collapse) is Provenance.COARSE_GRAIN_COLLAPSE
+    assert provenance(collapse) is Provenance.COARSE_GRAIN_COLLAPSE
     state_zero = HomogeneousEvent.from_fixed({ray_index("001"): False})
-    assert classify_zero_event(default_ctx, state_zero) is Provenance.SCAN
+    assert provenance(state_zero) is Provenance.SCAN
 
 
 @pytest.mark.parametrize(
@@ -190,23 +215,30 @@ def _classification_contexts():
 
 @pytest.mark.parametrize("name", list(_classification_contexts()))
 def test_scan_provenance_matches_single_event_and_reference(name):
+    """Every depth-2 zero's provenance is the single-event reference's."""
     ctx = _classification_contexts()[name]
     records = scan_zero_events(ctx, 2)
     assert records
     for rec in records:
-        assert classify_zero_event(ctx, rec.event) is rec.provenance
         assert reference_classify(ctx, rec.event) is rec.provenance, rec.describe()
 
 
 def test_classify_random_events_matches_reference(rng):
-    """Events that need not be zero, including the empty one, through both
-    classifiers on plain and detected contexts."""
-    events = [HomogeneousEvent.everything()] + [
-        random_homogeneous_event(rng, max_fixed=5) for _ in range(150)
-    ]
+    """A seeded sample of depth-4 zeros in each context, up to 25 from every
+    (fixed-ray count, provenance) group that occurs, through the
+    single-event reference."""
+    sizes, provenances = set(), set()
     for ctx in _classification_contexts().values():
-        for e in events:
-            assert classify_zero_event(ctx, e) is reference_classify(ctx, e), e.describe()
+        scan = scan_zero_events(ctx, 4)
+        group = _fixed_counts(scan) * len(Provenance) + scan.code
+        for g in np.unique(group):
+            rows = np.flatnonzero(group == g)
+            for row in rng.choice(rows, size=min(25, rows.size), replace=False):
+                rec = scan[int(row)]
+                assert reference_classify(ctx, rec.event) is rec.provenance, rec.describe()
+                sizes.add(rec.event.n_fixed)
+                provenances.add(rec.provenance)
+    assert sizes == {1, 2, 3, 4} and provenances == set(Provenance)
 
 
 def test_detector_keeps_the_adjacency_test(rng):

@@ -53,7 +53,8 @@ def test_state_validation():
 
 def test_all_green_path_state_vanishes(default_ctx):
     psi = default_ctx.state.terms[0][1]
-    v = default_ctx.path_state(Colouring.all_green(), psi)
+    path = HomogeneousEvent.agreeing_with(Colouring.all_green(), range(N_RAYS))
+    v = default_ctx.event_state(path, psi)
     assert np.linalg.norm(v) < 1e-12
 
 
@@ -73,7 +74,8 @@ def test_adjacent_orthogonal_greens_vanish(default_ctx):
 def test_path_state_with_adjacent_orthogonal_greens_vanishes(default_ctx, rng):
     psi = default_ctx.state.terms[0][1]
     bits = int(rng.integers(1 << N_RAYS)) | 0b11  # greens at the adjacent axes
-    v = default_ctx.path_state(Colouring(bits), psi)
+    path = HomogeneousEvent.agreeing_with(Colouring(bits), range(N_RAYS))
+    v = default_ctx.event_state(path, psi)
     assert np.linalg.norm(v) < 1e-12
 
 

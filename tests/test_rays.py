@@ -18,6 +18,7 @@ from pkslab.rays import (
     enumerate_bases,
     enumerate_orthogonal_pairs,
     ray_index,
+    ray_permutations,
     symmetry_group,
 )
 
@@ -185,9 +186,9 @@ def test_transitive_on_each_type():
 
 def test_bases_map_to_bases():
     bases = set(enumerate_bases())
-    for g in symmetry_group():
+    for perm in ray_permutations().values():
         for b in enumerate_bases():
-            image = Basis(tuple(sorted(g.apply_index(i) for i in b.indices)))
+            image = Basis(tuple(sorted(perm[i] for i in b.indices)))
             assert image in bases
 
 
