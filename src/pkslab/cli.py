@@ -299,6 +299,7 @@ def cmd_zero_scan(args) -> dict:
             "norm1": built.norm1,
             "norm2": built.norm2,
             "separating_ray": PERES_RAYS[built.separating_ray].label,
+            "holds": built.holds,
         }
     if args.budget:
         search = explorer.ordering_search(
@@ -456,6 +457,7 @@ def _text_zero_scan(report: dict) -> list[str]:
         lines.append(
             f"final-stage construction: norms {built['norm1']:.3e}, {built['norm2']:.3e}, "
             f"disjoint via ray {built['separating_ray']}"
+            + ("" if built["holds"] else "; does not hold under the detector")
         )
     if "search" in report:
         search = report["search"]

@@ -221,31 +221,25 @@ class _Chains:
         return np.sqrt(np.einsum("nsij,nsij->ns", op, op).max(axis=1))
 
 
-def _classify(chains: _Chains, pos, green, red, collapse) -> np.ndarray:
+def _classify(k: int, green, red, adjacent, collapse) -> np.ndarray:
     """Why is each of these events' state zero?  Codes index `_PROVENANCES`.
 
-    `pos` has shape (n, k) in chain order (ascending position), `green` and
-    `red` hold the rows' masks, and boolean `collapse` marks operator norms
-    below the threshold.  Preclusion events (`pks_events`) rank first; then
-    a green-green orthogonal pair at consecutive stages; then a projector
-    chain whose product vanishes once the free stages are summed out (for a
+    The rows fix `k` rays each, `green` and `red` hold their masks,
+    `adjacent` marks a green-green orthogonal pair at consecutive stages,
+    and `collapse` marks operator norms below the threshold.  Preclusion
+    events (`pks_events`) rank first; then adjacency; then a projector chain
+    whose product vanishes once the free stages are summed out (for a
     detected context, every sector must vanish); the rest are zeros of this
     particular initial state.  A detector never sits between consecutive
-    stages and its red sector adds no green pair, so the adjacency test on
-    the event's own chain decides every sector of a detected context.
+    stages and its red sector adds no green pair, so adjacency on the
+    event's own chain decides every sector of a detected context.
     """
-    orth, pairs, bases = _ray_tables()
-    rays = chains.ray_at[pos]
-    n, k = rays.shape
+    _, pairs, bases = _ray_tables()
+    pks = np.zeros(green.size, dtype=bool)  # preclusion events fix two or three rays
     if k == 2:  # a pair's green mask or a basis's red one leaves the other colour empty
         pks = (green[:, None] == pairs).any(axis=1)
     elif k == 3:
         pks = (red[:, None] == bases).any(axis=1)
-    else:
-        pks = np.zeros(n, dtype=bool)
-    greens = (green[:, None] >> rays & 1).astype(bool)
-    consecutive = (pos[:, 1:] == pos[:, :-1] + 1) & greens[:, 1:] & greens[:, :-1]
-    adjacent = (consecutive & orth[rays[:, :-1], rays[:, 1:]]).any(axis=1)
     # int8 codes: a scan keeps one per zero row until its records are built
     return np.select([pks, adjacent, collapse], [0, 1, 2], default=3).astype(np.int8)
 
@@ -277,18 +271,22 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
 
     The events with k fixed rays are the children of level k-1: a parent row
     extended by one later position in either colour, both colours from one
-    projection of the parent's stored state.  A level keeps int8 chain
-    positions, colour masks, states and operator products; the last level
-    builds positions and masks only for its zero rows.  Operator products
-    are stepped once per pair: below the last level for every pair, since
-    the level keeps them, and at the last level for the pairs with a zero
-    child."""
+    projection of the parent's stored state.  A level keeps each row's last
+    position (int8), colour masks, `adjacent` flag, state and operator
+    product; the last level builds masks and flags only for its zero rows.
+    Operator products are stepped once per pair: below the last level for
+    every pair, since the level keeps them, and at the last level for the
+    pairs with a zero child."""
     chains = _Chains(ctx)
-    pos, green, red = np.zeros((1, 0), dtype=np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64)
-    state, op = chains.state, chains.op
+    # per position, whether the next stage's ray is orthogonal (none after the last)
+    step_orth = np.append(_ray_tables()[0][chains.ray_at[:-1], chains.ray_at[1:]], False)
+    last, green, red = np.full(1, -1), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    adjacent, state, op = np.zeros(1, dtype=bool), chains.state, chains.op
     zeros, min_rejected = [], math.inf  # per block: n_fixed, green, red, norm, code of zero rows
     for k in range(1, max_fixed + 1):
-        last = pos[:, -1].astype(int) if k > 1 else np.full(1, -1)
+        # a child is adjacent if its parent is, or if it is green right after a
+        # parent whose last stage is green and orthogonal to the next (`extends`)
+        extends = (green >> chains.ray_at[last] & 1).astype(bool) & step_orth[last]
         level = []
         for par, p in _children(last):
             n = par.size
@@ -299,26 +297,28 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
             zm = norm < ctx.threshold
             min_rejected = min(min_rejected, norm[~zm].min(initial=math.inf))
             z = np.flatnonzero(zm)
-            # the children whose positions and masks are built, and the zero rows among them
+            # the children whose masks and flags are built, and the zero rows among them
             rows, zr = (z, slice(None)) if k == max_fixed else (np.arange(2 * n), z)
             pair, g = rows % n, rows >= n
             c_par, c_p = par[pair], p[pair]
             bit = np.int64(1) << chains.ray_at[c_p]
-            c_pos = np.column_stack([pos[c_par], c_p]).astype(np.int8)
             c_green, c_red = green[c_par] | np.where(g, bit, 0), red[c_par] | np.where(g, 0, bit)
-            pairs = np.arange(n) if k < max_fixed else np.flatnonzero(zm[:n] | zm[n:])
+            c_adj = adjacent[c_par] | g & extends[c_par] & (c_p == last[c_par] + 1)
+            # the pairs whose operator products are stepped, and each one's rank among them
+            has = zm[:n] | zm[n:] | (k < max_fixed)
+            pairs = np.flatnonzero(has)
             c_op = chains.branch(op[par[pairs]], last[par[pairs]], p[pairs])
             op_norm = chains.op_norms(c_op, np.tile(p[pairs], 2))[
-                np.searchsorted(pairs, z % n) + pairs.size * (z >= n)
+                (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)
             ]
             if k < max_fixed:
-                level.append((c_pos, c_green, c_red, child, c_op))
+                level.append((c_p.astype(np.int8), c_green, c_red, c_adj, child, c_op))
             del c_op  # a last-level block's products go before the next block is built
-            code = _classify(chains, c_pos[zr], c_green[zr], c_red[zr], op_norm < ctx.threshold)
+            code = _classify(k, c_green[zr], c_red[zr], c_adj[zr], op_norm < ctx.threshold)
             zeros.append((np.full(z.size, k, np.int8), c_green[zr], c_red[zr], norm[z], code))
         if level:
-            pos, green, red, state, op = (np.concatenate(c) for c in zip(*level))
-    del pos, green, red, state, op  # the stored level, before the zero rows are joined
+            last, green, red, adjacent, state, op = (np.concatenate(c) for c in zip(*level))
+    del last, green, red, adjacent, state, op  # the stored level, before the zero rows are joined
     n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
     return np.lexsort((red, green, n_fixed)), green, red, norm, code, float(min_rejected)
 
@@ -452,16 +452,18 @@ class LastStageConstruction:
     norm1: float
     norm2: float
     separating_ray: int
+    holds: bool  # both norms below the threshold
 
 
 def last_ray_021_construction(ctx: Context) -> LastStageConstruction:
     """The two-event preclusivity breaker for orderings ending at ray 021.
 
     E1 frees the stages between the B11 rays around gamma_P; E2 does the
-    same for B7 around gamma_P'.  Both are measure zero, they disagree on
-    the final stage's colour (gamma_P reds 021, gamma_P' greens it), and
-    together they contain the whole support, so the support co-event
-    cannot be preclusive in such a context.
+    same for B7 around gamma_P'.  They disagree on the final stage's colour
+    (gamma_P reds 021, gamma_P' greens it) and together contain the whole
+    support.  Without a detector both are measure zero, so the support
+    co-event cannot be preclusive in such a context; a detector inside
+    either gap can make one non-null, and then `holds` is false.
     """
     i021 = ray_index("021")
     if ctx.ordering.ray_at[-1] != i021:
@@ -469,13 +471,11 @@ def last_ray_021_construction(ctx: Context) -> LastStageConstruction:
     gp, gpp = phi_m_support()
     e1, e2 = _gap_pair(gp, gpp, ctx.ordering)
     n1, n2 = ctx.norms([e1, e2])
-    if n1 >= ctx.threshold or n2 >= ctx.threshold:
-        raise AssertionError("gap events failed to be measure zero")
     if not e1.is_disjoint_from(e2):
         raise AssertionError("gap events failed to be disjoint")
     if not (e1.contains(gp) and e2.contains(gpp)):
         raise AssertionError("gap events failed to contain the support")
-    return LastStageConstruction(e1, e2, n1, n2, separating_ray=i021)
+    return LastStageConstruction(e1, e2, n1, n2, i021, holds=max(n1, n2) < ctx.threshold)
 
 
 def structural_threat_pairs(ctx: Context) -> EventArray:

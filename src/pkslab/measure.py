@@ -198,9 +198,9 @@ class Context:
 
         Each (member, sector) row is one chain of fixed projectors in
         position order.  The rows are sorted by chain length, longest first,
-        so chain step j acts on a prefix of them; each step applies one
-        stacked (3,3)@(3,1) product per row and term, the product
-        `event_state` applies one at a time."""
+        so chain step j acts on the prefix of rows longer than j; each step
+        applies one stacked (3,3)@(3,1) product per row and term, the
+        product `event_state` applies one at a time."""
         n_sectors = 1 if self.detector is None else 2
         green, red = masks[:, 0], masks[:, 1]
         if self.detector is not None:
@@ -223,8 +223,7 @@ class Context:
         # step j of row i is entry first[i] + j
         chain_rays = rays[np.nonzero(fixed[order])[1]]
         first = np.cumsum(length) - length
-        # each step's projector as an index into the (ray, outcome) table;
-        # green is outcome 0
+        # each step's projector as an index into the (ray, outcome) table; green is outcome 0
         green_bit = (np.repeat(green[order], length) >> chain_rays) & 1
         table_at = (2 * chain_rays + 1 - green_bit).astype(np.int8)
         del fixed, chain_rays, green_bit  # not held through the steps
@@ -233,10 +232,9 @@ class Context:
         v[:] = psi
         v[empty[order]] = 0
         projectors = _ray_projectors().reshape(-1, 3, 3)
-        for j in range(int(length.max(initial=0))):
-            at = first[: np.count_nonzero(length > j)] + j
-            for lo in range(0, len(at), _PASS_ROWS):
-                p = projectors[table_at[at[lo : lo + _PASS_ROWS]]]
+        for j, rows in enumerate(len(order) - np.cumsum(np.bincount(length))[:-1]):
+            for lo in range(0, rows, _PASS_ROWS):
+                p = projectors[table_at[first[lo : min(rows, lo + _PASS_ROWS)] + j]]
                 v[lo : lo + len(p)] = np.matmul(p[:, None], v[lo : lo + len(p), :, :, None])[..., 0]
         out = np.zeros((len(masks) + 1, n_sectors, len(psi), 3), dtype=complex)
         out[:-1].reshape(-1, len(psi), 3)[order] = v

@@ -321,8 +321,28 @@ def test_zero_scan_021_last(tmp_path, capsys):
     assert code == 0
     built = report["final_stage_construction"]
     assert built["norm1"] < 1e-10 and built["norm2"] < 1e-10
-    assert built["separating_ray"] == "021"
+    assert built["separating_ray"] == "021" and built["holds"] is True
     assert report["coverage"]["status"] == "covered"
+
+
+@pytest.mark.parametrize("stage", [6, 12, 20, 30])
+def test_zero_scan_021_last_with_a_detector(tmp_path, capsys, stage):
+    """A detector inside the B11 or B7 gap makes a gap event non-null: the
+    scan still reports, and says the construction does not hold."""
+    from pkslab.measure import Ordering
+    from pkslab.rays import ray_index
+
+    moved = Ordering.default().with_ray_last(ray_index("021"))
+    f = tmp_path / "ordering.json"
+    f.write_text(json.dumps(list(moved.labels())))
+    argv = ("zero-scan", "--ordering", str(f), "--detector", moved.labels()[stage - 1], "--max-fixed", "2")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    built = report["final_stage_construction"]
+    assert built["holds"] is False
+    assert max(built["norm1"], built["norm2"]) >= report["threshold"]
+    code, text = run(capsys, *argv)
+    assert code == 0 and "does not hold under the detector" in text
 
 
 def test_zero_scan_budget_guard(capsys):

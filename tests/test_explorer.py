@@ -1,5 +1,6 @@
 """Zero-event scans, coverage verdicts, and the ordering search."""
 
+import hashlib
 import itertools
 import math
 
@@ -195,11 +196,18 @@ def test_depth3_provenance_split(default_ctx, detector, expected):
 
 @pytest.mark.slow
 def test_depth4_provenance_split(default_ctx):
+    """The depth-4 scan of the default context, pinned to the bit: its
+    green, red, norm and code columns by sha256, and its margin."""
     records = scan_zero_events(default_ctx, 4)
     assert len(records) == 241801
     assert provenance_counts(records) == {
         "scan": 158249, "pks": 88, "coarse-grain-collapse": 60644, "accidental-adjacent": 22820,
     }
+    digest = hashlib.sha256()
+    for column in (records.events.green, records.events.red, records.norm, records.code):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == "0f26a76ea2bb7ad8a5375c662cc40f7cf1636a8d48840552bc8f3b6c9afd8830"
+    assert records.min_rejected == 0.0011104345603980478
 
 
 def _classification_contexts():
@@ -301,7 +309,7 @@ def test_last_stage_construction():
     ordering = Ordering.default().with_ray_last(ray_index("021"))
     ctx = Context(ordering)
     built = last_ray_021_construction(ctx)
-    assert built.norm1 < 1e-10 and built.norm2 < 1e-10
+    assert built.norm1 < 1e-10 and built.norm2 < 1e-10 and built.holds
     assert built.e1.is_disjoint_from(built.e2)
     gp, gpp = phi_m_support()
     assert built.e1.contains(gp)
@@ -544,11 +552,28 @@ def test_norm_margin_of_the_default_context():
         assert scan[:10].min_rejected == scan.min_rejected
 
 
+def _reference_codes(ray_at, pos, green, red, collapse):
+    """Provenance codes of zero rows from their full position matrix `pos`
+    (n, k), in ascending position order: a preclusion event; else a green
+    orthogonal pair at consecutive positions, from the exact relation; else
+    an operator collapse; else a state zero."""
+    orth = np.array([[are_orthogonal(a, b) for b in PERES_RAYS] for a in PERES_RAYS])
+    pks_green, pks_red = np.array([(e.green_mask, e.red_mask) for e in pks_events()]).T
+    pks = ((green[:, None] == pks_green) & (red[:, None] == pks_red)).any(axis=1)
+    rays = ray_at[pos]
+    greens = (green[:, None] >> rays & 1).astype(bool)
+    consecutive = (pos[:, 1:] == pos[:, :-1] + 1) & greens[:, 1:] & greens[:, :-1]
+    adjacent = (consecutive & orth[rays[:, :-1], rays[:, 1:]]).any(axis=1)
+    return np.select([pks, adjacent, collapse], [0, 1, 2], default=3).astype(np.int8)
+
+
 def _reference_zero_rows(ctx, max_fixed):
     """The level scan one child at a time: every (parent, later position)
     pair appears twice, red then green, and each copy is projected on its
-    own and picks its colour through `np.where`.  Returns the green, red,
-    norm and code columns in record order and the smallest rejected norm."""
+    own and picks its colour through `np.where`.  Each row keeps its whole
+    position list, and codes come from `_reference_codes`, not the scan's
+    carried adjacency flag.  Returns the green, red, norm and code columns
+    in record order and the smallest rejected norm."""
     chains = explorer._Chains(ctx)
 
     def step(v, last, p, green):
@@ -574,7 +599,7 @@ def _reference_zero_rows(ctx, max_fixed):
         pos = np.column_stack([pos[par], p])
         green, red = green[par] | np.where(g, bit, 0), red[par] | np.where(g, 0, bit)
         collapse = chains.op_norms(op[z], p[z]) < ctx.threshold
-        code = explorer._classify(chains, pos[z], green[z], red[z], collapse)
+        code = _reference_codes(chains.ray_at, pos[z], green[z], red[z], collapse)
         zeros.append((np.full(z.sum(), k), green[z], red[z], norm[z], code))
     n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
     order = np.lexsort((red, green, n_fixed))
@@ -589,6 +614,9 @@ def test_scan_equals_the_per_colour_reference(rng):
         Context(random_ordering(rng), random_mixed_state(rng), detector=int(rng.integers(1, 34))),
         Context(random_ordering(rng), maximally_mixed_state()),
         Context(Ordering.default().with_ray_last(i021)),
+        Context(detector=1),
+        Context(random_ordering(rng), random_mixed_state(rng), detector=N_RAYS),
+        Context(random_ordering(rng), random_pure_state(rng)),
     ]
     for ctx in contexts:
         scan = scan_zero_events(ctx, 3)
