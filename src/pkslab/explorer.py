@@ -171,19 +171,18 @@ class _Chains:
     """Projector chains of one context, stepped in the real Cartesian picture.
 
     A chain state is an array (rows, sectors, slots, 3): the initial state as
-    real slots sqrt(w) Re and sqrt(w) Im of T^dagger psi per term (T =
-    `spin.CART_TO_Z`, zero parts dropped), an operator product as the three
-    identity columns.  A ray's green projector is u u^T and its red one
-    I - u u^T, so a step is v -> u (u.v) or v - u (u.v).  A detector at stage
-    d splits the slots into a red and a green sector when an extension jumps
+    the real slots of sqrt(w) psi per term (`spin.cartesian_slots`, zero
+    slots dropped), an operator product as the three identity columns.  A
+    ray's green projector is u u^T and its red one I - u u^T, so a step is
+    `spin.project`, v -> u (u.v), or v - u (u.v).  A detector at stage d
+    splits the slots into a red and a green sector when an extension jumps
     over d; an event fixing the detected ray never splits."""
 
     def __init__(self, ctx):
         self.ray_at = np.array(ctx.ordering.ray_at)
         self.u = spin.ray_directions()[self.ray_at]  # by position
         self.cut = None if ctx.detector is None else ctx.detector - 1
-        terms = np.array([np.sqrt(w) * psi @ spin.CART_TO_Z.conj() for w, psi in ctx.state.terms])
-        slots = np.concatenate([terms.real, terms.imag])
+        slots = spin.cartesian_slots([np.sqrt(w) * psi for w, psi in ctx.state.terms])
         self.state, self.op = (
             np.stack([x, 0 * x][: 1 if self.cut is None else 2])[None]
             for x in (slots[slots.any(axis=1)], np.eye(3))
@@ -206,10 +205,8 @@ class _Chains:
         positions `p`: each row is projected once, along = u (u.v), and
         its children are v - along (red) and along (green)."""
         v = self._split(v, last, p)
-        u = self.u[p][:, None, None, :]
         out = np.empty((2, *v.shape))
-        dot = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))
-        np.multiply(dot[..., None], u, out=out[1])
+        spin.project(v, self.u[p][:, None, None, :], out=out[1])
         np.subtract(v, out[1], out=out[0])
         return out.reshape(-1, *v.shape[1:])
 
@@ -276,7 +273,7 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
     product; the last level builds masks and flags only for its zero rows.
     Operator products are stepped once per pair: below the last level for
     every pair, since the level keeps them, and at the last level for the
-    pairs with a zero child."""
+    pairs with a zero child.  Their norms are taken for the zero rows only."""
     chains = _Chains(ctx)
     # per position, whether the next stage's ray is orthogonal (none after the last)
     step_orth = np.append(_ray_tables()[0][chains.ray_at[:-1], chains.ray_at[1:]], False)
@@ -308,9 +305,8 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
             has = zm[:n] | zm[n:] | (k < max_fixed)
             pairs = np.flatnonzero(has)
             c_op = chains.branch(op[par[pairs]], last[par[pairs]], p[pairs])
-            op_norm = chains.op_norms(c_op, np.tile(p[pairs], 2))[
-                (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)
-            ]
+            z_op = (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)  # the zero rows' products
+            op_norm = chains.op_norms(c_op[z_op], c_p[zr])
             if k < max_fixed:
                 level.append((c_p.astype(np.int8), c_green, c_red, c_adj, child, c_op))
             del c_op  # a last-level block's products go before the next block is built

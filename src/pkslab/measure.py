@@ -12,9 +12,9 @@ of the two functionals restricted to the detected ray's colour sectors.
 
 `Context.decoherences` is the one evaluator of the functional: it takes
 pairs of events in one numpy pass, building each distinct member once and
-stepping all their chains of fixed projectors together.  A single D(a, b),
-a measure, a norm or a zero test is a batch of one; callers with several
-events make one call.
+stepping all their chains together with the zero scan's step.  A single
+D(a, b), a measure, a norm or a zero test is a batch of one; callers with
+several events make one call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .colourings import Colouring, HomogeneousEvent, pks_events
 from .rays import N_RAYS, PERES_RAYS, ray_index
-from .spin import _ray_projectors, ray_projector
+from . import spin
 
 DEFAULT_THRESHOLD = 1e-10
 # Rows per numpy product in `Context.decoherences`: it bounds the temporaries,
@@ -178,30 +178,12 @@ class Context:
 
     # -- states ---------------------------------------------------------------
 
-    def _chain(self, event: HomogeneousEvent) -> list[tuple[int, bool]]:
-        """Fixed (ray, colour) steps in ascending position order."""
-        position = self.ordering.positions()
-        return sorted(event.fixed.items(), key=lambda step: position[step[0]])
-
-    def event_state(self, event: HomogeneousEvent, psi: np.ndarray) -> np.ndarray:
-        """Event state via identity collapse: apply only the fixed projectors.
-        A path's state is the state of the event fixing all 33 rays."""
-        v = np.asarray(psi, dtype=complex)
-        for ray, green in self._chain(event):
-            v = ray_projector(ray, green) @ v
-        return v
-
     def _member_states(self, masks: np.ndarray) -> np.ndarray:
         """States of distinct homogeneous events, given as rows of (green,
-        red) masks, shape (len + 1, sectors, terms, 3); the extra last row
-        is zero, as is a sector the member empties.
-
-        Each (member, sector) row is one chain of fixed projectors in
-        position order.  The rows are sorted by chain length, longest first,
-        so chain step j acts on the prefix of rows longer than j; each step
-        applies one stacked (3,3)@(3,1) product per row and term, the
-        product `event_state` applies one at a time."""
-        n_sectors = 1 if self.detector is None else 2
+        red) masks, shape (len + 1, sectors, 2 terms, 3): each (member,
+        sector) row's chain of fixed projectors stepped with `spin.project`
+        from the terms' unweighted `spin.cartesian_slots`, all-zero slots kept
+        so Re and Im stay paired.  The last row is zero, as is an emptied sector."""
         green, red = masks[:, 0], masks[:, 1]
         if self.detector is not None:
             # (member, sector) rows, red sector first: the detected bit is added
@@ -211,33 +193,21 @@ class Context:
             red = np.stack([red | bit, red], axis=1).ravel()
         empty = (green & red) != 0
         rays = np.array(self.ordering.ray_at)  # ray at each position
-        # per row, the fixed bit at each position
-        fixed = np.unpackbits(
-            (green | red).astype("<i8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-        )[:, rays]
-        fixed[empty] = 0
-        length = fixed.sum(axis=1, dtype=np.int64)
-        order = np.argsort(-length, kind="stable")
-        length = length[order]
-        # the fixed rays of the sorted rows, row by row in position order:
-        # step j of row i is entry first[i] + j
-        chain_rays = rays[np.nonzero(fixed[order])[1]]
-        first = np.cumsum(length) - length
-        # each step's projector as an index into the (ray, outcome) table; green is outcome 0
-        green_bit = (np.repeat(green[order], length) >> chain_rays) & 1
-        table_at = (2 * chain_rays + 1 - green_bit).astype(np.int8)
-        del fixed, chain_rays, green_bit  # not held through the steps
-        psi = np.array([v for _, v in self.state.terms])
-        v = np.empty((len(order), len(psi), 3), dtype=complex)
-        v[:] = psi
-        v[empty[order]] = 0
-        projectors = _ray_projectors().reshape(-1, 3, 3)
-        for j, rows in enumerate(len(order) - np.cumsum(np.bincount(length))[:-1]):
-            for lo in range(0, rows, _PASS_ROWS):
-                p = projectors[table_at[first[lo : min(rows, lo + _PASS_ROWS)] + j]]
-                v[lo : lo + len(p)] = np.matmul(p[:, None], v[lo : lo + len(p), :, :, None])[..., 0]
-        out = np.zeros((len(masks) + 1, n_sectors, len(psi), 3), dtype=complex)
-        out[:-1].reshape(-1, len(psi), 3)[order] = v
+        fixed = (np.where(empty, 0, green | red)[:, None] >> rays & 1) == 1  # per row and position
+        length = fixed.sum(axis=1)
+        order = np.argsort(-length, kind="stable")  # longest first: step j acts on a prefix
+        # per row and step j, the position of its j-th fixed ray, that ray's direction and colour
+        at = np.argsort(~fixed[order], axis=1, kind="stable")[:, : length.max(initial=0)]
+        u_at = spin.ray_directions()[rays[at]]
+        green_at = (green[order, None] >> rays[at] & 1) == 1
+        slots = spin.cartesian_slots([psi for _, psi in self.state.terms])
+        v = np.where(empty[order, None, None], 0.0, slots)
+        for j, n in enumerate(len(order) - np.cumsum(np.bincount(length))[:-1]):
+            along = spin.project(v[:n], u_at[:n, j, None])
+            v[:n] -= along  # red, then green rows take `along` itself
+            np.copyto(v[:n], along, where=green_at[:n, j, None, None])
+        out = np.zeros((len(masks) + 1, 1 if self.detector is None else 2) + slots.shape)
+        out[:-1].reshape(-1, *slots.shape)[order] = v
         return out
 
     # -- the functional ---------------------------------------------------------
@@ -245,11 +215,12 @@ class Context:
     def decoherences(self, a_events, b_events) -> np.ndarray:
         """D(a, b) for each pair of two equal-length sequences of events or
         unions, as a complex array.  Each distinct homogeneous member is
-        built once per call; a union's state is the sum of its members' from
-        zero, in member order.  Per sector, the inner products conj(a)(1,3)
-        @b(3,1) (equal to `np.vdot`) are weighted and summed over the mixture
-        terms in order, from zero; under a detector the sectors are then
-        added as 0j + red + green."""
+        built once per call; a union's slots are the sum of its members'
+        from zero, in member order.  Per sector, with R and I the Re and Im
+        slots of a mixture term, (R_a.R_b + I_a.I_b) + i (R_a.I_b - I_a.R_b)
+        is weighted and summed over the terms in order, from zero; under a
+        detector the sectors are then added as 0j + red + green.  Swapping a
+        and b only negates the imaginary part: D(b, a) == conj D(a, b)."""
         if len(a_events) != len(b_events):
             raise ValueError("decoherences takes two sequences of equal length")
         index: dict[tuple[int, int], int] = {}  # (green, red) mask -> member row
@@ -277,24 +248,25 @@ class Context:
         def union_states(slots: np.ndarray) -> np.ndarray:
             # a partial sum from +0 is never -0, so adding a zero row leaves
             # it unchanged to the bit
-            out = np.zeros((slots.shape[1],) + states.shape[1:], dtype=complex)
+            out = np.zeros((slots.shape[1],) + states.shape[1:])
             for rows in slots:
                 out += states[rows]
             return out
 
-        dots = np.empty((len(a_events),) + states.shape[1:3], dtype=complex)
+        n_terms = len(self.state.terms)
+        dots = np.empty((len(a_events), states.shape[1], n_terms), dtype=complex)
         for lo in range(0, len(dots), _PASS_ROWS):
             cut = slice(lo, lo + _PASS_ROWS)
             sa = union_states(slots_a[:, cut])
             sb = union_states(slots_b[:, cut])
-            dots[cut] = np.matmul(sa.conj()[..., None, :], sb[..., :, None])[..., 0, 0]
-        sums = []
-        for s in range(dots.shape[1]):
-            out = np.zeros(len(dots), dtype=complex)
-            for t, (w, _) in enumerate(self.state.terms):
-                out += w * dots[:, s, t]
-            sums.append(out)
-        return sums[0] if self.detector is None else 0j + sums[0] + sums[1]
+            same = np.einsum("...i,...i->...", sa, sb)  # R_a.R_b per term, then I_a.I_b
+            cross = np.einsum("...i,...i->...", sa, np.roll(sb, n_terms, axis=-2))  # R.I, I.R
+            dots.real[cut] = same[..., :n_terms] + same[..., n_terms:]
+            dots.imag[cut] = cross[..., :n_terms] - cross[..., n_terms:]
+        sums = np.zeros(dots.shape[:2], dtype=complex)  # per pair and sector
+        for t, (w, _) in enumerate(self.state.terms):
+            sums += w * dots[..., t]
+        return sums[:, 0] if self.detector is None else 0j + sums[:, 0] + sums[:, 1]
 
     def decoherence(self, a, b) -> complex:
         """D(a, b) for one pair: `decoherences` on a batch of one."""
@@ -319,47 +291,6 @@ def _norm(measure: float) -> float:
     """An event's norm from its measure, sqrt(max(mu, 0)): the event-state
     norm for a pure state.  Rounding can leave a zero measure just below 0."""
     return math.sqrt(max(measure, 0.0))
-
-
-def truncated_path_states(
-    ordering: Ordering, psi: np.ndarray, chain_len: int
-) -> np.ndarray:
-    """States of all 2^k paths through the first k beam-splitter stages.
-
-    Row index encodes the path: bit p set means green at position p.  This
-    is the brute-force route (no identity collapse) used as the oracle for
-    event states on truncated chains.
-    """
-    if not 0 <= chain_len <= 20:
-        raise ValueError("truncated chains are limited to 20 positions")
-    states = np.asarray(psi, dtype=complex).reshape(1, 3)
-    for p in range(chain_len):
-        ray = ordering.ray_at[p]
-        red = states @ ray_projector(ray, False).T
-        green = states @ ray_projector(ray, True).T
-        states = np.vstack([red, green])  # bit p: 0 -> red block, 1 -> green block
-    return states
-
-
-def event_state_by_completion(
-    event: HomogeneousEvent, ordering: Ordering, psi: np.ndarray, chain_len: int
-) -> np.ndarray:
-    """Sum of path states over all completions of the event's free rays.
-
-    Only defined on truncated chains: every fixed ray must sit within the
-    first `chain_len` positions, and the chain is cut there.
-    """
-    pos = {r: p for p, r in enumerate(ordering.ray_at[:chain_len])}
-    for ray in event.fixed:
-        if ray not in pos:
-            raise ValueError("event fixes a ray beyond the truncated chain")
-    states = truncated_path_states(ordering, psi, chain_len)
-    idx = np.arange(1 << chain_len)
-    keep = np.ones(len(idx), dtype=bool)
-    for ray, green in event.fixed.items():
-        bit = (idx >> pos[ray]) & 1
-        keep &= bit == (1 if green else 0)
-    return states[keep].sum(axis=0)
 
 
 # --- verification reports -----------------------------------------------------

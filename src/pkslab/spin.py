@@ -1,9 +1,10 @@
 """Spin-1 linear algebra: spin matrices, eigenbases, spin-squared projectors.
 
-Everything lives in the z-eigenbasis with components ordered (+1, 0, -1).
+States are given in the z-eigenbasis, components ordered (+1, 0, -1); chains
+are stepped in the real Cartesian picture (`project`), with the complex
+z-basis projectors (`ray_projector`) as test oracle and warm-up table.
 Directions come from Peres rays: a digit of modulus 2 denotes sqrt(2), and
-normalisation happens once at conversion so the combinatorial layer stays
-exact.
+normalisation happens once at conversion so the combinatorial layer stays exact.
 """
 
 from __future__ import annotations
@@ -86,6 +87,21 @@ def ray_directions() -> np.ndarray:
     """Array of shape (33, 3): the real unit direction u of each ray.  In the
     Cartesian picture its green projector is u u^T and its red one I - u u^T."""
     return np.array([direction_from_ray(ray) for ray in PERES_RAYS])
+
+
+def project(v: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The green step of real Cartesian slots, u (u.v): the slots `v`
+    (..., 3) projected onto unit directions `u` that broadcast against them.
+    The red step is v less this.  Every projector chain is stepped here."""
+    dot = np.einsum("...i,...i->...", v, u)
+    return np.multiply(dot[..., None], u, out=out)
+
+
+def cartesian_slots(vectors) -> np.ndarray:
+    """Real Cartesian slots of z-basis vectors, shape (2 len, 3): the rows
+    Re T^dagger psi, then the rows Im T^dagger psi (T = `CART_TO_Z`)."""
+    z = np.array([psi @ CART_TO_Z.conj() for psi in vectors])
+    return np.concatenate([z.real, z.imag])
 
 
 def ray_projector(index: int, green: bool) -> np.ndarray:

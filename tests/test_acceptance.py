@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+import zbasis
 from conftest import random_mixed_state, random_ordering, random_pure_state
 from pkslab import coevents, colourings as col, explorer, measure
 from pkslab.cli import ERRATUM_ROWS, PUBLISHED_VALUATION
@@ -228,11 +229,13 @@ def test_criterion_11_oracle_equivalence_on_truncated_chains():
         event = HomogeneousEvent.from_fixed(
             {int(r): bool(rng.integers(2)) for r in rays}
         )
-        brute = measure.event_state_by_completion(event, ordering, psi, chain_len)
-        collapsed = ctx.event_state(event, psi)
+        brute = zbasis.event_state_by_completion(event, ordering, psi, chain_len)
+        collapsed = zbasis.event_state(ordering, event, psi)
         worst = max(worst, float(np.linalg.norm(brute - collapsed)))
+        # the package's measure is the squared norm of the brute-force state
+        worst = max(worst, abs(ctx.measure(event) - float(np.vdot(brute, brute).real)))
     assert worst < 1e-10
-    report(11, f"identity collapse matches 200 brute-force completion sums (max err {worst:.1e})")
+    report(11, f"collapse and measure match 200 brute-force completion sums (max err {worst:.1e})")
 
 
 def test_criterion_12_classical_primitivity_fuzz():

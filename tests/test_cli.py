@@ -286,14 +286,14 @@ def test_zero_scan_single_norms_are_pinned(tmp_path, capsys):
 
     code, report = run_json(capsys, "zero-scan", "--max-fixed", "2")
     assert code == 0
-    assert report["coverage"]["witness_norms"] == [4.2955926954859033e-16, 5.995290274999576e-16]
+    assert report["coverage"]["witness_norms"] == [5.551115123125783e-17, 3.925231146709437e-17]
     f = tmp_path / "ordering.json"
     f.write_text(json.dumps(list(Ordering.default().with_ray_last(ray_index("021")).labels())))
     code, report = run_json(capsys, "zero-scan", "--ordering", str(f), "--max-fixed", "2")
     assert code == 0
     built = report["final_stage_construction"]
-    assert (built["norm1"], built["norm2"]) == (6.409374830182717e-16, 1.01606640318091e-17)
-    assert report["coverage"]["witness_norms"] == [5.768888059150692e-16, 5.244547743905053e-16]
+    assert (built["norm1"], built["norm2"]) == (5.551115123125783e-17, 1.2700830039761383e-18)
+    assert report["coverage"]["witness_norms"] == [5.551115123125783e-17, 3.204937810639273e-17]
 
 
 def test_zero_scan_reports_norm_margin(capsys):

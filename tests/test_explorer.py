@@ -652,6 +652,23 @@ def test_each_pair_is_projected_once(monkeypatch):
     assert sum(n for slots, n in rows if slots == 3) == N_RAYS + zero_pairs
 
 
+def test_operator_norms_are_taken_for_zero_rows_only(monkeypatch):
+    """`op_norms` sees one operator product per zero record, in a plain and
+    a detected context."""
+    seen = []
+    original = explorer._Chains.op_norms
+
+    def counting(self, op, last):
+        seen.append(len(op))
+        return original(self, op, last)
+
+    monkeypatch.setattr(explorer._Chains, "op_norms", counting)
+    for ctx in (Context(), Context(detector=12)):
+        seen.clear()
+        scan = scan_zero_events(ctx, 3)
+        assert sum(seen) == len(scan)
+
+
 @pytest.mark.slow
 def test_depth5_provenance_split(default_ctx):
     scan = scan_zero_events(default_ctx, 5)
