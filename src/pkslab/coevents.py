@@ -231,31 +231,35 @@ def is_preclusive(co: CoEvent, zero_events) -> bool:
     return all(co.support & ~z for z in zero_events)
 
 
-def _maximal_events(events) -> list[int]:
-    kept: list[int] = []
-    for e in sorted(set(events), key=lambda x: -x.bit_count()):
-        if not any(e & ~k == 0 for k in kept):
-            kept.append(e)
-    return kept
+@lru_cache(maxsize=None)
+def _bit_masks(n: int) -> tuple[int, ...]:
+    """Per bit b < n, the 2^n-bit word whose bit e is set when e has bit b:
+    (2^(2^n) - 1) / (2^h + 1) repeats h set bits every 2h bits, h = 2^b."""
+    every = (1 << (1 << n)) - 1
+    return tuple(every // ((1 << (1 << b)) + 1) << (1 << b) for b in range(n))
 
 
 def primitive_preclusive_coevents(n: int, zero_events) -> tuple[CoEvent, ...]:
-    """All support-minimal preclusive co-events, by increasing support size.
+    """All support-minimal preclusive co-events, by support size, then value.
 
-    A support is primitive when it is preclusive and no recorded smaller
-    preclusive support sits inside it (enumeration order makes that test
-    complete).  Containment in a zero event only depends on the maximal
-    zero events, so the zero list is thinned to an antichain first.
+    Passes over the subset lattice of {0..n-1}, held as 2^n-bit words (bit e
+    for support e), mark the zero events (masked to n bits, as `support & ~z`
+    sees them) and close them downwards; the rest but the empty set are the
+    preclusive supports, and a primitive one has no preclusive one-smaller one.
     """
     _check_n(n, bound=12)
-    maximal = _maximal_events(zero_events)
-    primitives: list[int] = []
-    for support in sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s)):
-        if any(p & ~support == 0 for p in primitives):
-            continue
-        if all(support & ~z for z in maximal):
-            primitives.append(support)
-    return tuple(CoEvent(s, n) for s in primitives)
+    covered = sum(1 << e for e in {int(z & ((1 << n) - 1)) for z in zero_events})
+    for b, m in enumerate(_bit_masks(n)):  # e with bit b covers e without it
+        covered |= (covered & m) >> (1 << b)
+    preclusive = primitive = ~covered & ((1 << (1 << n)) - 2)
+    for b, m in enumerate(_bit_masks(n)):
+        primitive &= ~((preclusive & ~m) << (1 << b))
+    supports = []
+    while primitive:
+        low = primitive & -primitive
+        supports.append(low.bit_length() - 1)
+        primitive ^= low
+    return tuple(CoEvent(s, n) for s in sorted(supports, key=int.bit_count))
 
 
 # --- co-events over the colouring space -------------------------------------------

@@ -257,6 +257,11 @@ def enumerate_seed_colourings() -> tuple[dict[int, bool], ...]:
     return consistent_assignments(seed_window(), include_pairs=False)
 
 
+@lru_cache(maxsize=1)
+def _seed_restrictions() -> frozenset[tuple[bool, ...]]:
+    return frozenset(tuple(s[r] for r in seed_window()) for s in enumerate_seed_colourings())
+
+
 def fiducial_seed() -> dict[int, bool]:
     """The seed colouring greening the first-listed ray of each of B1..B4."""
     greens = {ray_index(row[0]) for row in _CHAIN_ROWS[:4]}
@@ -395,29 +400,20 @@ class ForcedExtensionTrace:
         return None
 
 
-def _transport_chain(seed: dict[int, bool]) -> tuple[Basis, ...] | None:
-    """The symmetry image of the published proof chain matching this seed.
-
-    A seed that is the window restriction of some transported Peres
-    colouring is walked down the transported table; the identity image is
-    preferred, ties otherwise broken by the fixed group enumeration.  Not
-    every seed arises this way (the window is not symmetry-invariant), so
-    None signals the general fallback.
-    """
-    if seed == fiducial_seed():  # breaks the bootstrap: gamma_p() walks this seed
-        return basis_chain()[4:11]
-    window = seed_window()
-    base = gamma_p()
-    group = [IDENTITY] + [g for g in symmetry_group() if not g.is_identity]
-    for g in group:
-        moved = act_on_colouring(g, base)
-        if all(moved.is_green(r) == seed[r] for r in window):
-            perm = ray_permutations()[g]
-            return tuple(
-                Basis(tuple(sorted(perm[i] for i in b.indices)))
-                for b in basis_chain()[4:11]
-            )
-    return None
+@lru_cache(maxsize=1)
+def _transport_table() -> dict[tuple[bool, ...], tuple[Basis, ...]]:
+    """Window restriction of each symmetry image of the Peres colouring -> the
+    proof chain moved with it; of symmetries sharing a restriction, the
+    identity, then the earliest in the fixed group enumeration, wins.  Only
+    14 seeds arise this way (the window is not symmetry-invariant)."""
+    table: dict[tuple[bool, ...], tuple[Basis, ...]] = {}
+    for g in [IDENTITY] + [g for g in symmetry_group() if not g.is_identity]:
+        moved, perm = act_on_colouring(g, gamma_p()), ray_permutations()[g]
+        table.setdefault(
+            tuple(moved.is_green(r) for r in seed_window()),
+            tuple(Basis(tuple(sorted(perm[i] for i in b.indices))) for b in basis_chain()[4:11]),
+        )
+    return table
 
 
 def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
@@ -433,16 +429,16 @@ def peres_walkthrough(seed: dict[int, bool]) -> ForcedExtensionTrace:
     proof.  Either way a contradiction is always reached, since no seed
     extends to a consistent colouring.
     """
-    window = set(seed_window())
-    if set(seed) != window:
+    if set(seed) != set(seed_window()):
         raise ValueError("seed must colour exactly the ten window rays")
-    if any(
-        sum(seed[i] for i in b.indices) != 1 for b in basis_chain()[:4]
-    ):
+    restriction = tuple(seed[r] for r in seed_window())
+    if restriction not in _seed_restrictions():
         raise ValueError("seed is not consistent on the four seed bases")
 
     seed_greens = tuple(sorted(r for r, g in seed.items() if g))
-    for order in filter(None, (_transport_chain(seed), basis_chain())):
+    fiducial = seed == fiducial_seed()  # gamma_p() walks this seed to fill the table
+    transported = basis_chain()[4:11] if fiducial else _transport_table().get(restriction)
+    for order in filter(None, (transported, basis_chain())):
         col = _seeded(seed)
         steps: list[ForcedStep] = []
         try:

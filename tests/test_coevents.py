@@ -113,6 +113,63 @@ def test_gram_plus_minus_vector_example():
     assert [co.support for co in prims] == expected
 
 
+def _maximal_events(events) -> list[int]:
+    kept: list[int] = []
+    for e in sorted(set(events), key=lambda x: -x.bit_count()):
+        if not any(e & ~k == 0 for k in kept):
+            kept.append(e)
+    return kept
+
+
+def reference_primitives(n: int, zero_events) -> tuple[CoEvent, ...]:
+    """The per-support loop: supports in (size, value) order, skipping those
+    above a recorded primitive, against the antichain of maximal zeros."""
+    maximal = _maximal_events(zero_events)
+    primitives: list[int] = []
+    for support in sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s)):
+        if any(p & ~support == 0 for p in primitives):
+            continue
+        if all(support & ~z for z in maximal):
+            primitives.append(support)
+    return tuple(CoEvent(s, n) for s in primitives)
+
+
+def _random_zero_lists(rng, n):
+    """Empty lists, raw ints with bits at or above n (negatives too), and the
+    zero lists of classical and of non-monotone Gram measures."""
+    yield []
+    k = int(rng.integers(1, 12))
+    yield [int(z) for z in rng.integers(-(1 << (n + 2)), 1 << (n + 2), size=k)]
+    yield [int(z) for z in rng.integers(0, 1 << n, size=k)]
+    w = rng.random(n)
+    w[rng.random(n) < 0.4] = 0.0
+    w[int(rng.integers(n))] += 0.5
+    yield ClassicalMeasure(tuple(w / w.sum())).zero_events()
+    if n >= 2:  # small integer vectors cancel over many events
+        vecs = rng.integers(-1, 2, size=(n, 2)) + 1j * rng.integers(-1, 2, size=(n, 2))
+        vecs[-1] = [1, 0] - vecs[:-1].sum(axis=0)
+        yield GramMeasure(vecs).zero_events()
+
+
+def test_primitives_equal_the_per_support_loop():
+    rng = np.random.default_rng(17)
+    cases = 0
+    while cases < 2000:
+        n = int(rng.integers(1, 13))
+        for zeros in _random_zero_lists(rng, n):
+            expected = reference_primitives(n, zeros)
+            assert primitive_preclusive_coevents(n, zeros) == expected, (n, zeros)
+            # numpy integers are masked before they are shifted
+            assert primitive_preclusive_coevents(n, np.array(zeros, dtype=np.int64)) == expected
+            cases += 1
+
+
+@pytest.mark.parametrize("n", [0, 13])
+def test_primitives_reject_n_out_of_range(n):
+    with pytest.raises(ValueError):
+        primitive_preclusive_coevents(n, [])
+
+
 def test_gram_sum_rule_exhaustive_small():
     # all 4^5 assignments of each history to one of A, B, C or none
     rng = np.random.default_rng(7)

@@ -273,6 +273,68 @@ def test_walkthrough_rejects_bad_seed():
         peres_walkthrough({0: True})
 
 
+def _window_assignments():
+    """All 1,024 assignments on the seed window, in binary order."""
+    window = seed_window()
+    for bits in range(1 << len(window)):
+        yield {r: bool(bits >> k & 1) for k, r in enumerate(window)}
+
+
+def test_walkthrough_accepts_exactly_one_green_per_seed_basis():
+    accepted = rejected = 0
+    for seed in _window_assignments():
+        one_each = all(sum(seed[i] for i in b.indices) == 1 for b in basis_chain()[:4])
+        try:
+            peres_walkthrough(seed)
+        except ValueError as e:
+            assert not one_each and "four seed bases" in str(e)
+            rejected += 1
+        else:
+            assert one_each
+            accepted += 1
+    assert (accepted, rejected) == (24, 1000)
+
+
+def reference_transport_chain(seed):
+    """The group loop: the first symmetry, identity first and then in group
+    order, carrying the Peres colouring onto the seed on the window."""
+    from pkslab.rays import IDENTITY, Basis, ray_permutations
+
+    for g in [IDENTITY] + [g for g in symmetry_group() if not g.is_identity]:
+        moved = act_on_colouring(g, gamma_p())
+        if all(moved.is_green(r) == seed[r] for r in seed_window()):
+            perm = ray_permutations()[g]
+            return tuple(
+                Basis(tuple(sorted(perm[i] for i in b.indices)))
+                for b in basis_chain()[4:11]
+            )
+    return None
+
+
+def _restriction(seed) -> tuple[bool, ...]:
+    return tuple(seed[r] for r in seed_window())
+
+
+def test_transport_table_equals_the_group_loop():
+    from pkslab.colourings import _transport_table
+
+    found = 0
+    for seed in _window_assignments():
+        chain = _transport_table().get(_restriction(seed))
+        assert chain == reference_transport_chain(seed)
+        found += chain is not None
+    assert found == 14
+
+
+def test_walkthroughs_equal_the_group_loop_walk(monkeypatch):
+    from pkslab import colourings
+
+    traces = [peres_walkthrough(s) for s in enumerate_seed_colourings()]
+    table = {_restriction(s): reference_transport_chain(s) for s in _window_assignments()}
+    monkeypatch.setattr(colourings, "_transport_table", lambda: table)
+    assert traces == [peres_walkthrough(s) for s in enumerate_seed_colourings()]
+
+
 def test_gamma_p_matches_published_column():
     assert greens_of(gamma_p()) == GAMMA_P_GREENS
     assert not gamma_p().is_green(ray_index("021"))
