@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .colourings import (
+    FULL_MASK,
     Colouring,
     basis_chain,
     gamma_p,
@@ -168,34 +169,43 @@ def _ray_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Chains:
-    """Projector chains of one context, stepped in the real Cartesian picture.
+    """Projector chains of a chunk of contexts, stepped in the real Cartesian
+    picture.  The contexts share their state and detector stage; their
+    orderings are laid end to end, so candidate c's stage s is the global
+    position c * 33 + s.
 
     A chain state is an array (rows, sectors, slots, 3): the initial state as
     the real slots of sqrt(w) psi per term (`spin.cartesian_slots`, zero
-    slots dropped), an operator product as the three identity columns.  A
-    ray's green projector is u u^T and its red one I - u u^T, so a step is
-    `spin.project`, v -> u (u.v), or v - u (u.v).  A detector at stage d
-    splits the slots into a red and a green sector when an extension jumps
-    over d; an event fixing the detected ray never splits."""
+    slots dropped), an operator product as the three identity columns, one
+    root row of each per candidate.  A ray's green projector is u u^T and
+    its red one I - u u^T, so a step is `spin.project`, v -> u (u.v), or
+    v - u (u.v).  A detector at stage d splits the slots into a red and a
+    green sector when an extension jumps over d; an event fixing the
+    detected ray never splits."""
 
-    def __init__(self, ctx):
-        self.ray_at = np.array(ctx.ordering.ray_at)
-        self.u = spin.ray_directions()[self.ray_at]  # by position
+    def __init__(self, contexts):
+        ctx = contexts[0]
+        self.ray_at = np.concatenate([c.ordering.ray_at for c in contexts])
+        self.u = spin.ray_directions()[self.ray_at]  # by global position
         self.cut = None if ctx.detector is None else ctx.detector - 1
         slots = spin.cartesian_slots([np.sqrt(w) * psi for w, psi in ctx.state.terms])
         self.state, self.op = (
-            np.stack([x, 0 * x][: 1 if self.cut is None else 2])[None]
+            np.repeat(np.stack([x, 0 * x][: 1 if self.cut is None else 2])[None], len(contexts), 0)
             for x in (slots[slots.any(axis=1)], np.eye(3))
         )
 
-    def _split(self, v: np.ndarray, last: np.ndarray, upto) -> np.ndarray:
+    def _split(self, v: np.ndarray, last, upto, at) -> np.ndarray:
         """Split into the two sectors the slots of the chains that end before
-        the detector (at `last`) and are extended past it (to `upto`)."""
-        rows = self.cut is not None and (last < self.cut) & (upto > self.cut)
-        if not np.any(rows):
+        the detector (at `last`) and are extended past it (to `upto`); `at`
+        is a position in each chain's candidate."""
+        if self.cut is None:
             return v
-        v, d = v.copy(), self.u[self.cut]
-        v[rows, 1] = (v[rows, 0] @ d)[..., None] * d
+        cut = at - at % N_RAYS + self.cut
+        rows = (last < cut) & (upto > cut)
+        if not rows.any():
+            return v
+        v, d = v.copy(), self.u[cut[rows]]
+        v[rows, 1] = (v[rows, 0] @ d[:, :, None]) * d[:, None, :]
         v[rows, 0] -= v[rows, 1]
         return v
 
@@ -204,7 +214,7 @@ class _Chains:
         `v`, ending at positions `last`, extended by the projectors at
         positions `p`: each row is projected once, along = u (u.v), and
         its children are v - along (red) and along (green)."""
-        v = self._split(v, last, p)
+        v = self._split(v, last, p, p)
         out = np.empty((2, *v.shape))
         spin.project(v, self.u[p][:, None, None, :], out=out[1])
         np.subtract(v, out[1], out=out[0])
@@ -214,7 +224,7 @@ class _Chains:
         """The largest sector Frobenius norm of operator products: below the
         threshold only if every sector vanishes.  A chain ending before the
         detector splits after its last stage."""
-        op = self._split(op, last, N_RAYS)
+        op = self._split(op, last, math.inf, last)
         return np.sqrt(np.einsum("nsij,nsij->ns", op, op).max(axis=1))
 
 
@@ -243,56 +253,85 @@ def _classify(k: int, green, red, adjacent, collapse) -> np.ndarray:
 
 # Children of one level are built about this many rows at a time.
 _BLOCK = 32768
+# A chunk of contexts scanned together keeps its last-level child states
+# within one block of the default context's (one real slot of three float64
+# per child).
+_CHUNK_BYTES = _BLOCK * 3 * 8
 
 
-def _children(last: np.ndarray):
+def _children(last: np.ndarray, end: np.ndarray):
     """The (parent row, new later position) pairs of a level whose rows end
-    at positions `last`, in blocks of about `_BLOCK` children.  Each pair
-    has two children, red and green, which `_Chains.branch` builds from one
-    projection: child i < n of a block of n pairs is pair i's red child,
-    child n + i its green one."""
-    width = N_RAYS - 1 - last  # later positions per parent
+    at positions `last` and whose candidates end at `end`, in blocks of about
+    `_BLOCK` children.  Each pair has two children, red and green, which
+    `_Chains.branch` builds from one projection: child i < n of a block of
+    n pairs is pair i's red child, child n + i its green one."""
+    width = end - last  # later positions per parent
     start = np.cumsum(width) - width  # offset of each parent's first pair
     lo = 0
     while lo < len(last):
         hi = int(np.searchsorted(start, start[lo] + _BLOCK // 2, "right"))
         par = np.repeat(np.arange(lo, hi), width[lo:hi])
-        yield par, last[par] + 1 + np.arange(par.size) - (start[par] - start[lo])
+        if par.size:  # parents at their candidate's last stage have no pairs
+            yield par, last[par] + 1 + np.arange(par.size) - (start[par] - start[lo])
         lo = hi
 
 
-def _zero_rows(ctx, max_fixed: int) -> tuple:
-    """Record order (by number of fixed rays, green mask, red mask), green
-    masks, red masks, norms and provenance codes of every zero event with
-    1..max_fixed fixed rays, and the smallest rejected norm.
+def _check_depth(max_fixed: int) -> None:
+    if not 1 <= max_fixed <= MAX_SCAN_FIXED:
+        raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
+
+
+def _shared_context(contexts) -> Context:
+    """The first of a chunk of contexts, which must share their state,
+    threshold and detector stage."""
+    ctx = contexts[0]
+    if any((c.state, c.threshold, c.detector) != (ctx.state, ctx.threshold, ctx.detector)
+           for c in contexts):
+        raise ValueError("a chunk of contexts must share state, threshold and detector stage")
+    return ctx
+
+
+def _zero_rows(contexts, max_fixed: int) -> tuple:
+    """Record order (by candidate, number of fixed rays, green mask, red
+    mask), sort keys (candidate * 8 + number of fixed rays), green masks,
+    red masks, norms and provenance codes of every zero event with
+    1..max_fixed fixed rays of each context, and each context's smallest
+    rejected norm.
 
     The events with k fixed rays are the children of level k-1: a parent row
-    extended by one later position in either colour, both colours from one
-    projection of the parent's stored state.  A level keeps each row's last
-    position (int8), colour masks, `adjacent` flag, state and operator
-    product; the last level builds masks and flags only for its zero rows.
-    Operator products are stepped once per pair: below the last level for
-    every pair, since the level keeps them, and at the last level for the
-    pairs with a zero child.  Their norms are taken for the zero rows only."""
-    chains = _Chains(ctx)
-    # per position, whether the next stage's ray is orthogonal (none after the last)
+    extended by one later position of its own candidate in either colour,
+    both colours from one projection of the parent's stored state.  A level
+    keeps each row's last position, colour masks, `adjacent` flag, state
+    and operator product; the last level builds masks and flags only for
+    its zero rows.  Operator products are stepped once per pair:
+    below the last level for every pair, since the level keeps them, and at
+    the last level for the pairs with a zero child.  Their norms are taken
+    for the zero rows only."""
+    chains, threshold = _Chains(contexts), _shared_context(contexts).threshold
+    # the narrowest signed integers for stored positions and sort keys: one byte for one context
+    pos_type, key_type = (np.min_scalar_type(-len(contexts) * x) for x in (N_RAYS, 8))
+    # per position, whether the next position's ray is orthogonal; never read
+    # across candidates, since a row at its candidate's last stage has no
+    # children and a root row has no green ray
     step_orth = np.append(_ray_tables()[0][chains.ray_at[:-1], chains.ray_at[1:]], False)
-    last, green, red = np.full(1, -1), np.zeros(1, np.int64), np.zeros(1, np.int64)
-    adjacent, state, op = np.zeros(1, dtype=bool), chains.state, chains.op
-    zeros, min_rejected = [], math.inf  # per block: n_fixed, green, red, norm, code of zero rows
+    last = np.arange(len(contexts)) * N_RAYS - 1  # each candidate's root, before its first stage
+    end = last + N_RAYS  # the last position of each row's candidate
+    green, red = np.zeros(len(contexts), np.int64), np.zeros(len(contexts), np.int64)
+    adjacent, state, op = np.zeros(len(contexts), dtype=bool), chains.state, chains.op
+    zeros = []  # per block: sort key, green, red, norm, code of zero rows
+    min_rejected = np.full(len(contexts), math.inf)
     for k in range(1, max_fixed + 1):
         # a child is adjacent if its parent is, or if it is green right after a
         # parent whose last stage is green and orthogonal to the next (`extends`)
         extends = (green >> chains.ray_at[last] & 1).astype(bool) & step_orth[last]
         level = []
-        for par, p in _children(last):
+        for par, p in _children(last, end):
             n = par.size
             child = chains.branch(state[par], last[par], p)
             norm = np.sqrt(np.einsum("nsij,nsij->n", child, child))
             if not np.isfinite(norm).all():
                 raise ValueError("non-finite norm in the scan: no verdict can rest on it")
-            zm = norm < ctx.threshold
-            min_rejected = min(min_rejected, norm[~zm].min(initial=math.inf))
+            zm = norm < threshold
             z = np.flatnonzero(zm)
             # the children whose masks and flags are built, and the zero rows among them
             rows, zr = (z, slice(None)) if k == max_fixed else (np.arange(2 * n), z)
@@ -308,15 +347,39 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
             z_op = (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)  # the zero rows' products
             op_norm = chains.op_norms(c_op[z_op], c_p[zr])
             if k < max_fixed:
-                level.append((c_p.astype(np.int8), c_green, c_red, c_adj, child, c_op))
+                level.append((c_p.astype(pos_type), c_green, c_red, c_adj, child, c_op))
             del c_op  # a last-level block's products go before the next block is built
-            code = _classify(k, c_green[zr], c_red[zr], c_adj[zr], op_norm < ctx.threshold)
-            zeros.append((np.full(z.size, k, np.int8), c_green[zr], c_red[zr], norm[z], code))
+            code = _classify(k, c_green[zr], c_red[zr], c_adj[zr], op_norm < threshold)
+            # each pair's candidate: a root sits just before its candidate's first
+            # stage, and a row at its candidate's last stage is never a parent
+            cand = (last[par] + 1) // N_RAYS
+            key = (cand[pair[zr]] * 8 + k).astype(key_type)
+            z_norm, norm[z] = norm[z], math.inf  # the rejected children keep their norms
+            # each pair's smallest rejected child, folded per run of pairs of one candidate
+            np.minimum(norm[:n], norm[n:], out=norm[:n])
+            runs = np.append(0, np.flatnonzero(cand[1:] != cand[:-1]) + 1)
+            np.minimum.at(min_rejected, cand[runs], np.minimum.reduceat(norm[:n], runs))
+            zeros.append((key, c_green[zr], c_red[zr], z_norm, code))
         if level:
             last, green, red, adjacent, state, op = (np.concatenate(c) for c in zip(*level))
-    del last, green, red, adjacent, state, op  # the stored level, before the zero rows are joined
-    n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
-    return np.lexsort((red, green, n_fixed)), green, red, norm, code, float(min_rejected)
+            end = last - last % N_RAYS + N_RAYS - 1
+    del last, end, green, red, adjacent, state, op  # the stored level, before zeros are joined
+    key, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
+    return np.lexsort((red, green, key)), key, green, red, norm, code, min_rejected
+
+
+def _scans(contexts, max_fixed: int) -> list[ZeroScan]:
+    """`scan_zero_events` of each context, from one level scan over their
+    orderings laid end to end."""
+    _check_depth(max_fixed)
+    order, key, *columns, min_rejected = _zero_rows(contexts, max_fixed)
+    # where each context's records end: the zeros of the contexts up to it
+    ends = [np.count_nonzero(key < 8 * c) for c in range(1, len(contexts) + 1)]
+    del key
+    for i in range(len(columns)):  # one unsorted column at a time stays alive
+        columns[i] = columns[i][order]
+    return [ZeroScan(*(c[lo:hi] for c in columns), m)
+            for lo, hi, m in zip([0, *ends], ends, min_rejected)]
 
 
 def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
@@ -324,13 +387,8 @@ def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     falls below the context threshold, in a deterministic order, as a lazy
     sequence of records.  A context with a detector is scanned on its
     detected functional.  Raises `ValueError` if any scanned norm is
-    non-finite: no verdict rests on it."""
-    if not 1 <= max_fixed <= MAX_SCAN_FIXED:
-        raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
-    order, *columns, min_rejected = _zero_rows(ctx, max_fixed)
-    for i in range(len(columns)):  # one unsorted column at a time stays alive
-        columns[i] = columns[i][order]
-    return ZeroScan(*columns, min_rejected)
+    non-finite: no verdict rests on it.  A chunk of one."""
+    return _scans([ctx], max_fixed)[0]
 
 
 def provenance_counts(scan: ZeroScan) -> dict[str, int]:
@@ -409,6 +467,18 @@ def pks_only_coverage(support: tuple[Colouring, ...]) -> CoverageVerdict:
 # --- structural constructions ---------------------------------------------------
 
 
+def _gap_masks(c: Colouring, basis_indices: tuple[int, int, int], ray_at) -> np.ndarray:
+    """(green, red) mask rows of `basis_gap_event` for each ray order row of
+    `ray_at` (n, 33)."""
+    rays = np.asarray(ray_at)
+    stage = np.argsort(rays, axis=1)[:, list(basis_indices)]  # the basis stages of each row
+    s = np.arange(N_RAYS)
+    gap = (stage.min(axis=1, keepdims=True) < s) & (s < stage.max(axis=1, keepdims=True))
+    basis = sum(1 << i for i in basis_indices)
+    fixed = FULL_MASK & ~(np.where(gap, np.int64(1) << rays, 0).sum(axis=1) & ~basis)
+    return np.stack([fixed & c.bits, fixed & ~c.bits], axis=1)
+
+
 def basis_gap_event(
     c: Colouring, basis_indices: tuple[int, int, int], ordering: Ordering
 ) -> HomogeneousEvent:
@@ -419,14 +489,8 @@ def basis_gap_event(
     if the colouring is red on the whole basis the product vanishes, so
     the event has measure zero while still containing the colouring.
     """
-    ps = ordering.positions()[list(basis_indices)]
-    lo, hi = int(ps.min()), int(ps.max())
-    fixed = {}
-    for p, r in enumerate(ordering.ray_at):
-        if lo < p < hi and r not in basis_indices:
-            continue
-        fixed[r] = c.is_green(r)
-    return HomogeneousEvent.from_fixed(fixed)
+    green, red = _gap_masks(c, basis_indices, [ordering.ray_at])[0].tolist()
+    return HomogeneousEvent(green, red)
 
 
 def _chain_basis(name_index: int) -> tuple[int, int, int]:
@@ -474,38 +538,76 @@ def last_ray_021_construction(ctx: Context) -> LastStageConstruction:
     return LastStageConstruction(e1, e2, n1, n2, i021, holds=max(n1, n2) < ctx.threshold)
 
 
-def structural_threat_pairs(ctx: Context) -> EventArray:
-    """The structural candidates whose norm falls below the context
-    threshold, in order: for each ray where the support colourings disagree
-    (in ray order), gamma_P on B11 plus that ray and gamma_P' on B7 plus
-    that ray; then the B11/B7 gap pair.  Each is tested once on its own,
-    all in one `Context.norms` call: which of them pair into a cover is for
-    `coverage_check` alone."""
+@lru_cache(maxsize=1)
+def _ray_candidates() -> np.ndarray:
+    """(green, red) mask rows of the structural candidates that no ordering
+    changes: for each ray where the support colourings disagree (in ray
+    order), gamma_P on B11 plus that ray and gamma_P' on B7 plus that ray."""
     gp, gpp = phi_m_support()
     b11, b7 = set(_chain_basis(11)), set(_chain_basis(7))
-    candidates = [
+    events = [
         e
         for w in range(N_RAYS)
         if gp.is_green(w) != gpp.is_green(w)
         for e in (HomogeneousEvent.agreeing_with(gp, b11 | {w}),
                   HomogeneousEvent.agreeing_with(gpp, b7 | {w}))
     ]
-    candidates += _gap_pair(gp, gpp, ctx.ordering)
-    norms = ctx.norms(candidates)
-    return EventArray.of([e for e, n in zip(candidates, norms) if n < ctx.threshold])
+    return _column([(e.green_mask, e.red_mask) for e in events], np.int64)
+
+
+def _threat_pairs(contexts) -> list[EventArray]:
+    """`structural_threat_pairs` of each context, from one member-state pass
+    over every context's candidates, each read in its context's ordering."""
+    ctx = _shared_context(contexts)
+    gp, gpp = phi_m_support()
+    rays = np.array([c.ordering.ray_at for c in contexts], dtype=np.int8)
+    shared = np.broadcast_to(_ray_candidates(), (len(contexts), *_ray_candidates().shape))
+    gap11, gap7 = _gap_masks(gp, _chain_basis(11), rays), _gap_masks(gpp, _chain_basis(7), rays)
+    masks = np.concatenate([shared, gap11[:, None], gap7[:, None]], axis=1)  # per context
+    norms = ctx.norms_in_orders(masks.reshape(-1, 2), np.repeat(rays, masks.shape[1], axis=0))
+    zero = (np.array(norms) < ctx.threshold).reshape(masks.shape[:2])
+    return [EventArray(m[z, 0], m[z, 1]) for m, z in zip(masks, zero)]
+
+
+def structural_threat_pairs(ctx: Context) -> EventArray:
+    """The structural candidates whose norm falls below the context
+    threshold, in order: for each ray where the support colourings disagree
+    (in ray order), gamma_P on B11 plus that ray and gamma_P' on B7 plus
+    that ray; then the B11/B7 gap pair.  Each is tested once on its own:
+    which of them pair into a cover is for `coverage_check` alone.  A chunk
+    of one."""
+    return _threat_pairs([ctx])[0]
+
+
+def _chunk_size(ctx: Context, max_fixed: int) -> int:
+    """Contexts per chunk: as many as keep the chunk's last-level child
+    states within `_CHUNK_BYTES`, and at least one."""
+    _check_depth(max_fixed)
+    child = _Chains([ctx]).state[0].nbytes
+    return max(1, _CHUNK_BYTES // (child * (math.comb(N_RAYS, max_fixed) << max_fixed)))
+
+
+def _coverages(contexts, max_fixed: int):
+    """`context_coverage` of each context in turn, in chunks of contexts
+    that share state, threshold and detector stage: one level scan and one
+    member-state pass per chunk, whose scans go once the caller has taken
+    them."""
+    scope = f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
+    size = _chunk_size(contexts[0], max_fixed) if contexts else 1
+    for lo in range(0, len(contexts), size):
+        chunk = contexts[lo : lo + size]
+        for scan, built in zip(_scans(chunk, max_fixed), _threat_pairs(chunk)):
+            events = EventArray(
+                np.concatenate([scan.events.green, built.green]),
+                np.concatenate([scan.events.red, built.red]),
+            )
+            yield coverage_check(phi_m_support(), events, scope), scan
 
 
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
     """The scan's zeros and the zero structural candidates, as plain zero
-    events, then the coverage decision on them all."""
-    scan = scan_zero_events(ctx, max_fixed)
-    built = structural_threat_pairs(ctx)
-    events = EventArray(
-        np.concatenate([scan.events.green, built.green]),
-        np.concatenate([scan.events.red, built.red]),
-    )
-    scope = f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
-    return coverage_check(phi_m_support(), events, scope), scan
+    events, then the coverage decision on them all.  A chunk of one."""
+    return next(_coverages([ctx], max_fixed))
 
 
 # --- the ordering search ---------------------------------------------------------
@@ -587,6 +689,12 @@ def ordering_search(
     the state axis therefore decides nothing.  Verdicts never claim
     preclusivity, only that no cover was found within the scan scope.
 
+    Every ordering is drawn first; the candidates are then scored in chunks
+    (`_coverages`), each with one level scan over its orderings laid end to
+    end and one member-state pass for its structural candidates.  A chunk
+    holds as many candidates as keep its last-level child states within one
+    scan block of the default context: three at depth 2, one from depth 3.
+
     `strategy` accepts only "structural", the one search; the keyword stays
     for the benchmark's callers and goes with the next benchmark change.
     """
@@ -595,8 +703,7 @@ def ordering_search(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     rng = np.random.default_rng(seed)
-    candidates: list[SearchCandidate] = []
-    gp, gpp = phi_m_support()
+    drawn = []  # (label, ordering): every ordering is drawn before any is scored
     for i in range(budget):
         if i == 0:
             ordering = Ordering.default().with_ray_last(ray_index("021"))
@@ -607,8 +714,12 @@ def ordering_search(
         else:
             ordering = Ordering(tuple(int(x) for x in rng.permutation(N_RAYS)))
             label = f"random-ord-{i}"
-        ctx = Context(ordering, maximally_mixed_state(), threshold)
-        verdict, scan = context_coverage(ctx, scan_max_fixed)
+        drawn.append((label, ordering))
+    state = maximally_mixed_state()
+    contexts = [Context(ordering, state, threshold) for _, ordering in drawn]
+    gp, gpp = phi_m_support()
+    candidates = []
+    for (label, ordering), (verdict, scan) in zip(drawn, _coverages(contexts, scan_max_fixed)):
         holders = int(np.count_nonzero(scan.events.holds(gp) | scan.events.holds(gpp)))
         candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(scan), holders))
 

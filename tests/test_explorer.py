@@ -29,6 +29,7 @@ from pkslab.explorer import (
 )
 from pkslab.coevents import phi_m
 from pkslab.measure import (
+    DEFAULT_THRESHOLD,
     Context,
     HomogeneousEvent,
     InitialState,
@@ -520,10 +521,10 @@ def test_cartesian_table_and_state_slots_match_the_projectors(rng):
         green = np.outer(u, u)
         assert np.allclose(t @ green @ t.conj().T, projs[i, 0], atol=1e-15)
         assert np.allclose(t @ (np.eye(3) - green) @ t.conj().T, projs[i, 1], atol=1e-15)
-    assert np.array_equal(explorer._Chains(Context()).state, [[[[0.0, 0.0, 1.0]]]])
+    assert np.array_equal(explorer._Chains([Context()]).state, [[[[0.0, 0.0, 1.0]]]])
     for state in (random_mixed_state(rng), random_pure_state(rng), maximally_mixed_state()):
         ctx = Context(random_ordering(rng), state)
-        slots = explorer._Chains(ctx).state[0, 0]
+        slots = explorer._Chains([ctx]).state[0, 0]
         assert slots.shape[0] <= 2 * len(state.terms)
         for i, u in enumerate(spin.ray_directions()):
             along = slots @ u
@@ -574,10 +575,10 @@ def _reference_zero_rows(ctx, max_fixed):
     position list, and codes come from `_reference_codes`, not the scan's
     carried adjacency flag.  Returns the green, red, norm and code columns
     in record order and the smallest rejected norm."""
-    chains = explorer._Chains(ctx)
+    chains = explorer._Chains([ctx])
 
     def step(v, last, p, green):
-        v = chains._split(v, last, p)
+        v = chains._split(v, last, p, 0 * p)
         u = chains.u[p][:, None, None, :]
         along = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))[..., None] * u
         return np.where(green[:, None, None, None], along, v - along)
@@ -891,3 +892,180 @@ def test_coverage_makes_no_records(monkeypatch):
     assert built == []
     scan[0]  # the counter does see a record built on access
     assert built == [1]
+
+
+# --- ordering-search chunks ------------------------------------------------------
+
+
+def _columns(scan):
+    return scan.events.green, scan.events.red, scan.norm, scan.code
+
+
+def _assert_scans_equal(got, want):
+    """Equal columns byte for byte, and the same smallest rejected norm."""
+    for a, b in zip(_columns(got), _columns(want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert repr(got.min_rejected) == repr(want.min_rejected)
+
+
+def _chunk_cases(rng):
+    """(contexts sharing state, threshold and detector stage, depth): random
+    and separating orderings with the 021-last probe under the maximally
+    mixed state at depths 1-3, the same under |0,z>, whose single-ray zeros
+    start at the chunk's first level, and random mixed states whose random
+    orderings share the detector stage 1, 12 or 33 (so each detects its own
+    ray)."""
+    mixed = maximally_mixed_state()
+    probe = Ordering.default().with_ray_last(ray_index("021"))
+    for depth in (1, 2, 3):
+        orderings = [probe, random_ordering(rng), explorer._separating_ordering(rng),
+                     random_ordering(rng), explorer._separating_ordering(rng)]
+        yield [Context(o, mixed) for o in orderings], depth
+    pure = InitialState.default()
+    yield [Context(o, pure) for o in orderings], 2
+    for stage in (1, 12, 33):
+        state = random_mixed_state(rng)
+        orderings = [random_ordering(rng) for _ in range(3)] + [probe]
+        yield [Context(o, state, detector=stage) for o in orderings], 3
+
+
+def test_chunked_scan_equals_each_single_scan(rng):
+    """One level scan over orderings laid end to end gives each context the
+    records and smallest rejected norm of its own scan, bit for bit, and its
+    structural zeros are each context's own."""
+    for contexts, depth in _chunk_cases(rng):
+        scans = explorer._scans(contexts, depth)
+        assert len(scans) == len(contexts)
+        for ctx, scan in zip(contexts, scans):
+            _assert_scans_equal(scan, scan_zero_events(ctx, depth))
+        for ctx, built in zip(contexts, explorer._threat_pairs(contexts)):
+            alone = structural_threat_pairs(ctx)
+            assert built.green.tobytes() == alone.green.tobytes()
+            assert built.red.tobytes() == alone.red.tobytes()
+    # a chunk's scan also equals the per-colour reference, context by context
+    contexts, _ = next(_chunk_cases(rng))
+    for ctx, scan in zip(contexts, explorer._scans(contexts, 2)):
+        *columns, min_rejected = _reference_zero_rows(ctx, 2)
+        for got, want in zip(_columns(scan), columns):
+            assert got.shape == want.shape and (got == want).all()
+        assert scan.min_rejected == min_rejected
+
+
+def test_a_chunk_shares_state_threshold_and_detector(rng):
+    ordering = random_ordering(rng)
+    for other in (Context(ordering, maximally_mixed_state()),  # an equal state, built apart
+                  Context(ordering, threshold=0.1), Context(ordering, detector=3)):
+        with pytest.raises(ValueError, match="share"):
+            explorer._scans([Context(ordering), other], 2)
+        with pytest.raises(ValueError, match="share"):
+            explorer._threat_pairs([Context(ordering), other])
+
+
+def _reference_gap_event(c, basis_indices, ordering):
+    """`basis_gap_event` one ray at a time: every ray but the non-basis rays
+    strictly between the basis stages, at the colouring's colour."""
+    ps = ordering.positions()[list(basis_indices)]
+    lo, hi = int(ps.min()), int(ps.max())
+    return HomogeneousEvent.from_fixed({
+        r: c.is_green(r)
+        for p, r in enumerate(ordering.ray_at)
+        if not (lo < p < hi and r not in basis_indices)
+    })
+
+
+def _reference_threats(ctx):
+    """The structural candidates, built one event at a time, and those of
+    them that `Context.norms` puts below the threshold."""
+    gp, gpp = phi_m_support()
+    b11, b7 = explorer._chain_basis(11), explorer._chain_basis(7)
+    candidates = [
+        e
+        for w in range(N_RAYS)
+        if gp.is_green(w) != gpp.is_green(w)
+        for e in (HomogeneousEvent.agreeing_with(gp, set(b11) | {w}),
+                  HomogeneousEvent.agreeing_with(gpp, set(b7) | {w}))
+    ]
+    candidates += [_reference_gap_event(gp, b11, ctx.ordering),
+                   _reference_gap_event(gpp, b7, ctx.ordering)]
+    norms = ctx.norms(candidates)
+    return candidates, norms, [e for e, n in zip(candidates, norms) if n < ctx.threshold]
+
+
+def test_structural_candidates_of_a_chunk_equal_the_per_context_norms(rng):
+    """The chunk's one member-state pass reads each context's candidates in
+    its own ordering: gap events equal the ray-by-ray construction, every
+    norm equals `Context.norms` of that context to the bit, and the zeros
+    are the candidates below the threshold, in order."""
+    for state, detector in ((maximally_mixed_state(), None), (random_mixed_state(rng, 3), 12),
+                            (random_pure_state(rng), 1)):
+        contexts = [Context(random_ordering(rng), state, 0.1, detector) for _ in range(4)]
+        contexts.append(Context(Ordering.default().with_ray_last(ray_index("021")), state, 0.1,
+                                detector))
+        gp, gpp = phi_m_support()
+        for ctx, built in zip(contexts, explorer._threat_pairs(contexts)):
+            candidates, norms, zeros = _reference_threats(ctx)
+            assert explorer._gap_pair(gp, gpp, ctx.ordering) == tuple(candidates[-2:])
+            masks = np.array([(e.green_mask, e.red_mask) for e in candidates], dtype=np.int64)
+            rays = np.repeat([ctx.ordering.ray_at], len(candidates), axis=0)
+            assert np.array(ctx.norms_in_orders(masks, rays)).tobytes() == np.array(norms).tobytes()
+            assert list(built) == zeros
+
+
+def _reference_search(budget, seed, scan_max_fixed, threshold):
+    """The ordering search one candidate at a time: each ordering drawn and
+    then scored alone by `context_coverage`, under its own maximally mixed
+    state."""
+    rng = np.random.default_rng(seed)
+    gp, gpp = phi_m_support()
+    candidates = []
+    for i in range(budget):
+        if i == 0:
+            ordering = Ordering.default().with_ray_last(ray_index("021"))
+            label = "probe-021-last"
+        elif i % 3 == 0:
+            ordering = explorer._separating_ordering(rng)
+            label = f"separating-{i}"
+        else:
+            ordering = Ordering(tuple(int(x) for x in rng.permutation(N_RAYS)))
+            label = f"random-ord-{i}"
+        ctx = Context(ordering, maximally_mixed_state(), threshold)
+        verdict, scan = context_coverage(ctx, scan_max_fixed)
+        holders = int(np.count_nonzero(scan.events.holds(gp) | scan.events.holds(gpp)))
+        candidates.append(
+            explorer.SearchCandidate(label, ordering, threshold, verdict, len(scan), holders))
+    ranked = sorted(candidates, key=lambda c: (c.verdict.covered, c.support_holders,
+                                               c.zero_count, c.label))
+    return explorer.SearchReport(seed, budget, scan_max_fixed, tuple(ranked))
+
+
+@pytest.mark.parametrize("scan_max_fixed", [1, 2, 3])
+def test_chunked_search_equals_the_per_candidate_loop(scan_max_fixed):
+    budget = 8 if scan_max_fixed < 3 else 5
+    for seed in range(8):
+        threshold = 0.1 if seed % 4 == 1 else DEFAULT_THRESHOLD
+        got = ordering_search(budget, seed, scan_max_fixed, threshold)
+        assert got == _reference_search(budget, seed, scan_max_fixed, threshold), seed
+
+
+def test_deep_searches_scan_one_candidate_per_chunk(monkeypatch):
+    """A chunk's last-level child states stay within one block of the
+    default context's: three maximally mixed candidates at depth 2, one from
+    depth 3, each chunk with one level scan and one structural pass."""
+    scanned, threats = [], []
+    zero_rows, threat_pairs = explorer._zero_rows, explorer._threat_pairs
+
+    def counting_rows(contexts, max_fixed):
+        scanned.append(len(contexts))
+        return zero_rows(contexts, max_fixed)
+
+    def counting_threats(contexts):
+        threats.append(len(contexts))
+        return threat_pairs(contexts)
+
+    monkeypatch.setattr(explorer, "_zero_rows", counting_rows)
+    monkeypatch.setattr(explorer, "_threat_pairs", counting_threats)
+    for depth, chunks in ((2, [3, 3, 1]), (3, [1] * 7), (4, [1, 1])):
+        scanned.clear(), threats.clear()
+        ordering_search(len(chunks) if depth == 4 else 7, seed=3, scan_max_fixed=depth)
+        assert scanned == threats == chunks
+    assert explorer._chunk_size(Context(), 2) == 15  # one slot of the default state
