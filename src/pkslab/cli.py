@@ -258,9 +258,11 @@ def cmd_measure_check(args) -> dict:
 
 
 def cmd_zero_scan(args) -> dict:
-    ctx = _load_context(args)
     if args.budget < 0:
         raise ValueError("--budget must be non-negative")
+    if args.budget and (args.state or args.detector):
+        raise ValueError("--budget searches the maximally mixed state: no --state or --detector")
+    ctx = _load_context(args)
     verdict, records = explorer.context_coverage(ctx, args.max_fixed)
     config = {
         "command": "zero-scan",

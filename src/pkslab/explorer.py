@@ -180,8 +180,8 @@ class _Chains:
     root row of each per candidate.  A ray's green projector is u u^T and
     its red one I - u u^T, so a step is `spin.project`, v -> u (u.v), or
     v - u (u.v).  A detector at stage d splits the slots into a red and a
-    green sector when an extension jumps over d; an event fixing the
-    detected ray never splits."""
+    green sector by the same step when an extension jumps over d (an event
+    fixing the detected ray never splits), and both sectors are measured."""
 
     def __init__(self, contexts):
         ctx = contexts[0]
@@ -194,18 +194,17 @@ class _Chains:
             for x in (slots[slots.any(axis=1)], np.eye(3))
         )
 
-    def _split(self, v: np.ndarray, last, upto, at) -> np.ndarray:
-        """Split into the two sectors the slots of the chains that end before
-        the detector (at `last`) and are extended past it (to `upto`); `at`
-        is a position in each chain's candidate."""
+    def _split(self, v: np.ndarray, last, p) -> np.ndarray:
+        """The slots of the chains that end before the detector (at `last`)
+        and are extended past it (to `p`), split into its two sectors."""
         if self.cut is None:
             return v
-        cut = at - at % N_RAYS + self.cut
-        rows = (last < cut) & (upto > cut)
+        cut = p - p % N_RAYS + self.cut
+        rows = (last < cut) & (p > cut)
         if not rows.any():
             return v
-        v, d = v.copy(), self.u[cut[rows]]
-        v[rows, 1] = (v[rows, 0] @ d[:, :, None]) * d[:, None, :]
+        v = v.copy()
+        v[rows, 1] = spin.project(v[rows, 0], self.u[cut[rows]][:, None, :])
         v[rows, 0] -= v[rows, 1]
         return v
 
@@ -214,18 +213,16 @@ class _Chains:
         `v`, ending at positions `last`, extended by the projectors at
         positions `p`: each row is projected once, along = u (u.v), and
         its children are v - along (red) and along (green)."""
-        v = self._split(v, last, p, p)
+        v = self._split(v, last, p)
         out = np.empty((2, *v.shape))
         spin.project(v, self.u[p][:, None, None, :], out=out[1])
         np.subtract(v, out[1], out=out[0])
         return out.reshape(-1, *v.shape[1:])
 
-    def op_norms(self, op, last) -> np.ndarray:
-        """The largest sector Frobenius norm of operator products: below the
-        threshold only if every sector vanishes.  A chain ending before the
-        detector splits after its last stage."""
-        op = self._split(op, last, math.inf, last)
-        return np.sqrt(np.einsum("nsij,nsij->ns", op, op).max(axis=1))
+
+def _norms(v) -> np.ndarray:
+    """Norms of chain states or operator products, over both sectors."""
+    return np.sqrt(np.einsum("nsij,nsij->n", v, v))
 
 
 def _classify(k: int, green, red, adjacent, collapse) -> np.ndarray:
@@ -236,7 +233,7 @@ def _classify(k: int, green, red, adjacent, collapse) -> np.ndarray:
     and `collapse` marks operator norms below the threshold.  Preclusion
     events (`pks_events`) rank first; then adjacency; then a projector chain
     whose product vanishes once the free stages are summed out (for a
-    detected context, every sector must vanish); the rest are zeros of this
+    detected context, in both sectors); the rest are zeros of this
     particular initial state.  A detector never sits between consecutive
     stages and its red sector adds no green pair, so adjacency on the
     event's own chain decides every sector of a detected context.
@@ -328,7 +325,7 @@ def _zero_rows(contexts, max_fixed: int) -> tuple:
         for par, p in _children(last, end):
             n = par.size
             child = chains.branch(state[par], last[par], p)
-            norm = np.sqrt(np.einsum("nsij,nsij->n", child, child))
+            norm = _norms(child)
             if not np.isfinite(norm).all():
                 raise ValueError("non-finite norm in the scan: no verdict can rest on it")
             zm = norm < threshold
@@ -345,7 +342,7 @@ def _zero_rows(contexts, max_fixed: int) -> tuple:
             pairs = np.flatnonzero(has)
             c_op = chains.branch(op[par[pairs]], last[par[pairs]], p[pairs])
             z_op = (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)  # the zero rows' products
-            op_norm = chains.op_norms(c_op[z_op], c_p[zr])
+            op_norm = _norms(c_op[z_op])
             if k < max_fixed:
                 level.append((c_p.astype(pos_type), c_green, c_red, c_adj, child, c_op))
             del c_op  # a last-level block's products go before the next block is built

@@ -92,7 +92,7 @@ def ray_directions() -> np.ndarray:
 def project(v: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The green step of real Cartesian slots, u (u.v): the slots `v`
     (..., 3) projected onto unit directions `u` that broadcast against them.
-    The red step is v less this.  Every projector chain is stepped here."""
+    The red step is v less this.  Every chain step and detector split is here."""
     dot = np.einsum("...i,...i->...", v, u)
     return np.multiply(dot[..., None], u, out=out)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pkslab
+from pkslab import explorer
 from pkslab.cli import build_parser, main
 
 
@@ -363,6 +364,23 @@ def test_zero_scan_with_detector(capsys):
     assert report["detector"] == "021"
     assert report["zero_events"] == 343
     assert report["provenance_counts"]["pks"] == 57
+
+
+def test_zero_scan_search_refuses_state_and_detector(capsys, tmp_path, monkeypatch):
+    """The search runs under the maximally mixed state without a detector,
+    so naming either with a budget is a config error, raised before any scan."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"pure": [[0, 0], [1, 0], [0, 0]]}))
+
+    def no_scan(*_):
+        raise AssertionError("scanned before refusing the options")
+
+    monkeypatch.setattr(explorer, "_zero_rows", no_scan)
+    for extra in (["--detector", "021"], ["--state", str(state)]):
+        code = main(["zero-scan", "--max-fixed", "1", "--budget", "3", *extra, "--format", "structured"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "--budget" in err
 
 
 def test_zero_scan_with_search(capsys):

@@ -573,15 +573,35 @@ def _reference_zero_rows(ctx, max_fixed):
     pair appears twice, red then green, and each copy is projected on its
     own and picks its colour through `np.where`.  Each row keeps its whole
     position list, and codes come from `_reference_codes`, not the scan's
-    carried adjacency flag.  Returns the green, red, norm and code columns
-    in record order and the smallest rejected norm."""
+    carried adjacency flag.  Sectors are split by this reference's own
+    projection, and an operator product collapses only when every sector
+    vanishes, a chain that ends before the detector being split after its
+    last stage.  Returns the green, red, norm and code columns in record
+    order and the smallest rejected norm."""
     chains = explorer._Chains([ctx])
+    cut = None if ctx.detector is None else ctx.detector - 1
+
+    def along(v, u):
+        return np.einsum("...ij,...ij->...i", v, np.broadcast_to(u, v.shape))[..., None] * u
+
+    def split(v, last, upto):
+        """The slots of the chains that end before the detector (at `last`)
+        and reach past it (to `upto`), split into its red and green sectors."""
+        if cut is None or not (rows := (last < cut) & (upto > cut)).any():
+            return v
+        v = v.copy()
+        v[rows, 1] = along(v[rows, 0], chains.u[cut])
+        v[rows, 0] -= v[rows, 1]
+        return v
 
     def step(v, last, p, green):
-        v = chains._split(v, last, p, 0 * p)
-        u = chains.u[p][:, None, None, :]
-        along = np.einsum("nsij,nsij->nsi", v, np.broadcast_to(u, v.shape))[..., None] * u
-        return np.where(green[:, None, None, None], along, v - along)
+        v = split(v, last, p)
+        a = along(v, chains.u[p][:, None, None, :])
+        return np.where(green[:, None, None, None], a, v - a)
+
+    def collapses(op, last):
+        op = split(op, last, math.inf)
+        return np.sqrt(np.einsum("nsij,nsij->ns", op, op)).max(axis=1) < ctx.threshold
 
     pos, green, red = np.zeros((1, 0), dtype=int), np.zeros(1, np.int64), np.zeros(1, np.int64)
     state, op = chains.state, chains.op
@@ -599,8 +619,7 @@ def _reference_zero_rows(ctx, max_fixed):
         bit = np.int64(1) << chains.ray_at[p]
         pos = np.column_stack([pos[par], p])
         green, red = green[par] | np.where(g, bit, 0), red[par] | np.where(g, 0, bit)
-        collapse = chains.op_norms(op[z], p[z]) < ctx.threshold
-        code = _reference_codes(chains.ray_at, pos[z], green[z], red[z], collapse)
+        code = _reference_codes(chains.ray_at, pos[z], green[z], red[z], collapses(op[z], p[z]))
         zeros.append((np.full(z.sum(), k), green[z], red[z], norm[z], code))
     n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
     order = np.lexsort((red, green, n_fixed))
@@ -608,6 +627,9 @@ def _reference_zero_rows(ctx, max_fixed):
 
 
 def test_scan_equals_the_per_colour_reference(rng):
+    """Bit for bit, on eight chosen contexts and then on 40 random (ordering,
+    state, detector stage) contexts, where operator products measured over
+    both sectors must give every zero the code the every-sector rule gives."""
     i021 = ray_index("021")
     contexts = [
         Context(),
@@ -619,6 +641,10 @@ def test_scan_equals_the_per_colour_reference(rng):
         Context(random_ordering(rng), random_mixed_state(rng), detector=N_RAYS),
         Context(random_ordering(rng), random_pure_state(rng)),
     ]
+    states = (InitialState.default, maximally_mixed_state,
+              lambda: random_pure_state(rng), lambda: random_mixed_state(rng, 3))
+    contexts += [Context(random_ordering(rng), states[i % 4](), detector=int(rng.integers(1, 34)))
+                 for i in range(40)]
     for ctx in contexts:
         scan = scan_zero_events(ctx, 3)
         green, red, norm, code, min_rejected = _reference_zero_rows(ctx, 3)
@@ -626,6 +652,39 @@ def test_scan_equals_the_per_colour_reference(rng):
         for got, want in zip(columns, (green, red, norm, code)):
             assert got.shape == want.shape and (got == want).all()
         assert scan.min_rejected == min_rejected
+
+
+def test_the_detector_split_is_the_oracle_projectors(rng):
+    """`_Chains._split` leaves the red and green sector slots of P_red psi and
+    P_green psi, from the z-basis projectors of the detected ray, for the
+    chains that jump over the detector, and no other chain splits."""
+    from pkslab import spin
+
+    for state in (random_pure_state(rng), random_mixed_state(rng, 3), maximally_mixed_state()):
+        ctx = Context(random_ordering(rng), state, detector=int(rng.integers(1, N_RAYS)))
+        chains, cut = explorer._Chains([ctx]), ctx.detector - 1
+        v = np.repeat(chains.state, 3, axis=0)
+        split = chains._split(v, np.array([-1, cut, -1]), np.array([N_RAYS - 1, N_RAYS - 1, cut]))
+        terms = [np.sqrt(w) * psi for w, psi in state.terms]
+        kept = spin.cartesian_slots(terms).any(axis=1)  # the chains drop zero slots
+        for sector, green in enumerate((False, True)):
+            want = spin.cartesian_slots([ray_projector(ctx.detected_ray, green) @ x for x in terms])
+            assert np.abs(split[0, sector] - want[kept]).max() <= 1e-15
+        assert np.array_equal(split[1:], v[1:])
+
+
+def _level2_zero_pairs(scan):
+    """First and last positions of the level-2 (parent, later position)
+    pairs with a zero child in the listing order, where a ray's position is
+    its index."""
+    fixed = scan.events.green | scan.events.red
+    level2 = np.array([int(x).bit_count() == 2 for x in fixed])
+    green, red, fixed = scan.events.green[level2], scan.events.red[level2], fixed[level2]
+    last = np.array([int(x).bit_length() - 1 for x in fixed])
+    parent = fixed & ~(np.int64(1) << last)
+    pairs = set(zip(green & parent, red & parent, last))
+    assert len(pairs) < level2.sum()
+    return np.array([(int(g | r).bit_length() - 1, b) for g, r, b in pairs]).T
 
 
 def test_each_pair_is_projected_once(monkeypatch):
@@ -641,29 +700,47 @@ def test_each_pair_is_projected_once(monkeypatch):
     pairs = N_RAYS + 2 * sum(range(N_RAYS))  # level 1, then each level-1 row's later positions
     children = 2 * N_RAYS + 4 * sum(range(N_RAYS))
     assert sum(n for slots, n in rows if slots == 1) == pairs == children // 2
-    # operator products: level 1's for level 2, then once per level-2 pair
-    # with a zero child (in the listing order a ray's position is its index)
-    fixed = scan.events.green | scan.events.red
-    level2 = np.array([int(x).bit_count() == 2 for x in fixed])
-    green, red, fixed = scan.events.green[level2], scan.events.red[level2], fixed[level2]
-    last = np.array([int(x).bit_length() - 1 for x in fixed])
-    parent = fixed & ~(np.int64(1) << last)
-    zero_pairs = len(set(zip(green & parent, red & parent, last)))
-    assert zero_pairs < level2.sum()
+    # operator products: level 1's for level 2, then once per level-2 pair with a zero child
+    zero_pairs = len(_level2_zero_pairs(scan)[0])
     assert sum(n for slots, n in rows if slots == 3) == N_RAYS + zero_pairs
 
 
+def test_every_projection_of_a_detected_scan_is_one_step(monkeypatch):
+    """`spin.project` projects each branched pair's chain once, and each
+    chain that jumps over the detector once more, for its green sector."""
+    from pkslab import spin
+
+    rows = {(1, 4): 0, (3, 4): 0, (1, 3): 0, (3, 3): 0}  # (slots, dims) -> projected rows
+    original = spin.project
+
+    def counting(v, u, out=None):
+        rows[v.shape[-2], v.ndim] += len(v)
+        return original(v, u, out=out)
+
+    monkeypatch.setattr(spin, "project", counting)
+    stage, cut = 12, 11  # positions 0..10 lie before the detected one
+    scan = scan_zero_events(Context(detector=stage), 2)
+    first, last = _level2_zero_pairs(scan)
+    jumps = N_RAYS - stage  # positions past the detector
+    assert rows == {
+        (1, 4): N_RAYS + 2 * sum(range(N_RAYS)),  # state pairs, as in a plain scan
+        (3, 4): N_RAYS + len(first),  # operator pairs
+        (1, 3): jumps + 2 * cut * jumps,  # from the root, then from both colours of each earlier row
+        (3, 3): jumps + np.count_nonzero((first < cut) & (last > cut)),
+    }
+
+
 def test_operator_norms_are_taken_for_zero_rows_only(monkeypatch):
-    """`op_norms` sees one operator product per zero record, in a plain and
-    a detected context."""
-    seen = []
-    original = explorer._Chains.op_norms
+    """The shared norm sees one operator product per zero record, in a plain
+    and a detected context."""
+    seen = []  # operator products per call: three slots, where |0,z> has one
+    original = explorer._norms
 
-    def counting(self, op, last):
-        seen.append(len(op))
-        return original(self, op, last)
+    def counting(v):
+        seen.append(len(v) if v.shape[2] == 3 else 0)
+        return original(v)
 
-    monkeypatch.setattr(explorer._Chains, "op_norms", counting)
+    monkeypatch.setattr(explorer, "_norms", counting)
     for ctx in (Context(), Context(detector=12)):
         seen.clear()
         scan = scan_zero_events(ctx, 3)
