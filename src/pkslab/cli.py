@@ -29,7 +29,7 @@ from .rays import (
     symmetry_group,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Published co-event valuation table: (gamma_P, gamma_P', value on the
 # all-green event, value on the all-red event) per ray, in listing order.
@@ -315,7 +315,6 @@ def cmd_zero_scan(args) -> dict:
                 {
                     "label": c.label,
                     "status": c.verdict.status,
-                    "zero_events": c.zero_count,
                     "support_holders": c.support_holders,
                     "witness": [e.describe() for e in c.verdict.witness]
                     if c.verdict.witness

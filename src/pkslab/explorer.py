@@ -169,28 +169,24 @@ def _ray_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Chains:
-    """Projector chains of a chunk of contexts, stepped in the real Cartesian
-    picture.  The contexts share their state and detector stage; their
-    orderings are laid end to end, so candidate c's stage s is the global
-    position c * 33 + s.
+    """Projector chains of one context, stepped in the real Cartesian picture.
 
     A chain state is an array (rows, sectors, slots, 3): the initial state as
     the real slots of sqrt(w) psi per term (`spin.cartesian_slots`, zero
-    slots dropped), an operator product as the three identity columns, one
-    root row of each per candidate.  A ray's green projector is u u^T and
-    its red one I - u u^T, so a step is `spin.project`, v -> u (u.v), or
-    v - u (u.v).  A detector at stage d splits the slots into a red and a
-    green sector by the same step when an extension jumps over d (an event
-    fixing the detected ray never splits), and both sectors are measured."""
+    slots dropped), an operator product as the three identity columns.  A
+    ray's green projector is u u^T and its red one I - u u^T, so a step is
+    `spin.project`, v -> u (u.v), or v - u (u.v).  A detector at stage d
+    splits the slots into a red and a green sector by the same step when an
+    extension jumps over d (an event fixing the detected ray never splits),
+    and both sectors are measured."""
 
-    def __init__(self, contexts):
-        ctx = contexts[0]
-        self.ray_at = np.concatenate([c.ordering.ray_at for c in contexts])
-        self.u = spin.ray_directions()[self.ray_at]  # by global position
+    def __init__(self, ctx):
+        self.ray_at = np.array(ctx.ordering.ray_at)
+        self.u = spin.ray_directions()[self.ray_at]  # by position
         self.cut = None if ctx.detector is None else ctx.detector - 1
         slots = spin.cartesian_slots([np.sqrt(w) * psi for w, psi in ctx.state.terms])
         self.state, self.op = (
-            np.repeat(np.stack([x, 0 * x][: 1 if self.cut is None else 2])[None], len(contexts), 0)
+            np.stack([x, 0 * x][: 1 if self.cut is None else 2])[None]
             for x in (slots[slots.any(axis=1)], np.eye(3))
         )
 
@@ -199,12 +195,11 @@ class _Chains:
         and are extended past it (to `p`), split into its two sectors."""
         if self.cut is None:
             return v
-        cut = p - p % N_RAYS + self.cut
-        rows = (last < cut) & (p > cut)
+        rows = (last < self.cut) & (p > self.cut)
         if not rows.any():
             return v
         v = v.copy()
-        v[rows, 1] = spin.project(v[rows, 0], self.u[cut[rows]][:, None, :])
+        v[rows, 1] = spin.project(v[rows, 0], self.u[self.cut])
         v[rows, 0] -= v[rows, 1]
         return v
 
@@ -221,8 +216,12 @@ class _Chains:
 
 
 def _norms(v) -> np.ndarray:
-    """Norms of chain states or operator products, over both sectors."""
-    return np.sqrt(np.einsum("nsij,nsij->n", v, v))
+    """Norms of chain states or operator products, over both sectors.
+    Raises `ValueError` if any is non-finite: no verdict rests on it."""
+    norm = np.sqrt(np.einsum("nsij,nsij->n", v, v))
+    if not np.isfinite(norm).all():
+        raise ValueError("non-finite norm in the scan: no verdict can rest on it")
+    return norm
 
 
 def _classify(k: int, green, red, adjacent, collapse) -> np.ndarray:
@@ -250,25 +249,21 @@ def _classify(k: int, green, red, adjacent, collapse) -> np.ndarray:
 
 # Children of one level are built about this many rows at a time.
 _BLOCK = 32768
-# A chunk of contexts scanned together keeps its last-level child states
-# within one block of the default context's (one real slot of three float64
-# per child).
-_CHUNK_BYTES = _BLOCK * 3 * 8
 
 
-def _children(last: np.ndarray, end: np.ndarray):
+def _children(last: np.ndarray):
     """The (parent row, new later position) pairs of a level whose rows end
-    at positions `last` and whose candidates end at `end`, in blocks of about
-    `_BLOCK` children.  Each pair has two children, red and green, which
-    `_Chains.branch` builds from one projection: child i < n of a block of
-    n pairs is pair i's red child, child n + i its green one."""
-    width = end - last  # later positions per parent
+    at positions `last`, in blocks of about `_BLOCK` children.  Each pair
+    has two children, red and green, which `_Chains.branch` builds from one
+    projection: child i < n of a block of n pairs is pair i's red child,
+    child n + i its green one."""
+    width = N_RAYS - 1 - last  # later positions per parent
     start = np.cumsum(width) - width  # offset of each parent's first pair
     lo = 0
     while lo < len(last):
         hi = int(np.searchsorted(start, start[lo] + _BLOCK // 2, "right"))
         par = np.repeat(np.arange(lo, hi), width[lo:hi])
-        if par.size:  # parents at their candidate's last stage have no pairs
+        if par.size:  # parents at the last stage have no pairs
             yield par, last[par] + 1 + np.arange(par.size) - (start[par] - start[lo])
         lo = hi
 
@@ -278,57 +273,36 @@ def _check_depth(max_fixed: int) -> None:
         raise ValueError(f"scan budget exceeded: max_fixed must be in 1..{MAX_SCAN_FIXED}")
 
 
-def _shared_context(contexts) -> Context:
-    """The first of a chunk of contexts, which must share their state,
-    threshold and detector stage."""
-    ctx = contexts[0]
-    if any((c.state, c.threshold, c.detector) != (ctx.state, ctx.threshold, ctx.detector)
-           for c in contexts):
-        raise ValueError("a chunk of contexts must share state, threshold and detector stage")
-    return ctx
-
-
-def _zero_rows(contexts, max_fixed: int) -> tuple:
-    """Record order (by candidate, number of fixed rays, green mask, red
-    mask), sort keys (candidate * 8 + number of fixed rays), green masks,
-    red masks, norms and provenance codes of every zero event with
-    1..max_fixed fixed rays of each context, and each context's smallest
-    rejected norm.
+def _zero_rows(ctx, max_fixed: int) -> tuple:
+    """Record order (by number of fixed rays, green mask, red mask), green
+    masks, red masks, norms and provenance codes of every zero event with
+    1..max_fixed fixed rays, and the smallest rejected norm.
 
     The events with k fixed rays are the children of level k-1: a parent row
-    extended by one later position of its own candidate in either colour,
-    both colours from one projection of the parent's stored state.  A level
-    keeps each row's last position, colour masks, `adjacent` flag, state
-    and operator product; the last level builds masks and flags only for
-    its zero rows.  Operator products are stepped once per pair:
-    below the last level for every pair, since the level keeps them, and at
-    the last level for the pairs with a zero child.  Their norms are taken
-    for the zero rows only."""
-    chains, threshold = _Chains(contexts), _shared_context(contexts).threshold
-    # the narrowest signed integers for stored positions and sort keys: one byte for one context
-    pos_type, key_type = (np.min_scalar_type(-len(contexts) * x) for x in (N_RAYS, 8))
-    # per position, whether the next position's ray is orthogonal; never read
-    # across candidates, since a row at its candidate's last stage has no
-    # children and a root row has no green ray
+    extended by one later position in either colour, both colours from one
+    projection of the parent's stored state.  A level keeps each row's last
+    position (int8), colour masks, `adjacent` flag, state and operator
+    product; the last level builds masks and flags only for its zero rows.
+    Operator products are stepped once per pair: below the last level for
+    every pair, since the level keeps them, and at the last level for the
+    pairs with a zero child.  Their norms are taken for the zero rows only."""
+    chains = _Chains(ctx)
+    # per position, whether the next stage's ray is orthogonal (none after the last)
     step_orth = np.append(_ray_tables()[0][chains.ray_at[:-1], chains.ray_at[1:]], False)
-    last = np.arange(len(contexts)) * N_RAYS - 1  # each candidate's root, before its first stage
-    end = last + N_RAYS  # the last position of each row's candidate
-    green, red = np.zeros(len(contexts), np.int64), np.zeros(len(contexts), np.int64)
-    adjacent, state, op = np.zeros(len(contexts), dtype=bool), chains.state, chains.op
-    zeros = []  # per block: sort key, green, red, norm, code of zero rows
-    min_rejected = np.full(len(contexts), math.inf)
+    last, green, red = np.full(1, -1), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    adjacent, state, op = np.zeros(1, dtype=bool), chains.state, chains.op
+    zeros, min_rejected = [], math.inf  # per block: n_fixed, green, red, norm, code of zero rows
     for k in range(1, max_fixed + 1):
         # a child is adjacent if its parent is, or if it is green right after a
         # parent whose last stage is green and orthogonal to the next (`extends`)
         extends = (green >> chains.ray_at[last] & 1).astype(bool) & step_orth[last]
         level = []
-        for par, p in _children(last, end):
+        for par, p in _children(last):
             n = par.size
             child = chains.branch(state[par], last[par], p)
             norm = _norms(child)
-            if not np.isfinite(norm).all():
-                raise ValueError("non-finite norm in the scan: no verdict can rest on it")
-            zm = norm < threshold
+            zm = norm < ctx.threshold
+            min_rejected = min(min_rejected, norm[~zm].min(initial=math.inf))
             z = np.flatnonzero(zm)
             # the children whose masks and flags are built, and the zero rows among them
             rows, zr = (z, slice(None)) if k == max_fixed else (np.arange(2 * n), z)
@@ -344,39 +318,15 @@ def _zero_rows(contexts, max_fixed: int) -> tuple:
             z_op = (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)  # the zero rows' products
             op_norm = _norms(c_op[z_op])
             if k < max_fixed:
-                level.append((c_p.astype(pos_type), c_green, c_red, c_adj, child, c_op))
+                level.append((c_p.astype(np.int8), c_green, c_red, c_adj, child, c_op))
             del c_op  # a last-level block's products go before the next block is built
-            code = _classify(k, c_green[zr], c_red[zr], c_adj[zr], op_norm < threshold)
-            # each pair's candidate: a root sits just before its candidate's first
-            # stage, and a row at its candidate's last stage is never a parent
-            cand = (last[par] + 1) // N_RAYS
-            key = (cand[pair[zr]] * 8 + k).astype(key_type)
-            z_norm, norm[z] = norm[z], math.inf  # the rejected children keep their norms
-            # each pair's smallest rejected child, folded per run of pairs of one candidate
-            np.minimum(norm[:n], norm[n:], out=norm[:n])
-            runs = np.append(0, np.flatnonzero(cand[1:] != cand[:-1]) + 1)
-            np.minimum.at(min_rejected, cand[runs], np.minimum.reduceat(norm[:n], runs))
-            zeros.append((key, c_green[zr], c_red[zr], z_norm, code))
+            code = _classify(k, c_green[zr], c_red[zr], c_adj[zr], op_norm < ctx.threshold)
+            zeros.append((np.full(z.size, k, np.int8), c_green[zr], c_red[zr], norm[z], code))
         if level:
             last, green, red, adjacent, state, op = (np.concatenate(c) for c in zip(*level))
-            end = last - last % N_RAYS + N_RAYS - 1
-    del last, end, green, red, adjacent, state, op  # the stored level, before zeros are joined
-    key, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
-    return np.lexsort((red, green, key)), key, green, red, norm, code, min_rejected
-
-
-def _scans(contexts, max_fixed: int) -> list[ZeroScan]:
-    """`scan_zero_events` of each context, from one level scan over their
-    orderings laid end to end."""
-    _check_depth(max_fixed)
-    order, key, *columns, min_rejected = _zero_rows(contexts, max_fixed)
-    # where each context's records end: the zeros of the contexts up to it
-    ends = [np.count_nonzero(key < 8 * c) for c in range(1, len(contexts) + 1)]
-    del key
-    for i in range(len(columns)):  # one unsorted column at a time stays alive
-        columns[i] = columns[i][order]
-    return [ZeroScan(*(c[lo:hi] for c in columns), m)
-            for lo, hi, m in zip([0, *ends], ends, min_rejected)]
+    del last, green, red, adjacent, state, op  # the stored level, before the zero rows are joined
+    n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
+    return np.lexsort((red, green, n_fixed)), green, red, norm, code, float(min_rejected)
 
 
 def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
@@ -384,8 +334,49 @@ def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     falls below the context threshold, in a deterministic order, as a lazy
     sequence of records.  A context with a detector is scanned on its
     detected functional.  Raises `ValueError` if any scanned norm is
-    non-finite: no verdict rests on it.  A chunk of one."""
-    return _scans([ctx], max_fixed)[0]
+    non-finite: no verdict rests on it."""
+    _check_depth(max_fixed)
+    order, *columns, min_rejected = _zero_rows(ctx, max_fixed)
+    for i in range(len(columns)):  # one unsorted column at a time stays alive
+        columns[i] = columns[i][order]
+    return ZeroScan(*columns, min_rejected)
+
+
+def _holders(ctx, max_fixed: int) -> EventArray:
+    """The events of `scan_zero_events(ctx, max_fixed)` that hold gamma_P or
+    gamma_P', in the scan's record order, from the chains of those two
+    colourings alone.
+
+    A holder of a colouring fixes each of its rays at the colouring's colour,
+    so its chain is one of the scan's chains with the colouring's child at
+    every step.  Two root rows, one per colouring, are stepped level by level
+    with `_Chains.branch`, and each child keeps its colouring's colour at the
+    new ray.  An event holding both colourings fixes no ray where they
+    disagree, so a gamma_P' row is kept only where its fixed rays meet the
+    disagreement rays; the gamma_P row lists it once."""
+    chains, (gp, gpp) = _Chains(ctx), phi_m_support()
+    # per row: last position, fixed mask, the green mask of its colouring, state
+    last, fixed, bits = np.full(2, -1), np.zeros(2, np.int64), np.array([gp.bits, gpp.bits])
+    state = np.repeat(chains.state, 2, axis=0)
+    zeros = []  # per block: n_fixed, fixed mask, colouring of zero rows
+    for k in range(1, max_fixed + 1):
+        level = []
+        for par, p in _children(last):
+            c_bits, bit = bits[par], np.int64(1) << chains.ray_at[p]
+            green = (c_bits & bit) != 0
+            child = chains.branch(state[par], last[par], p)[np.arange(par.size) + par.size * green]
+            c_fixed = fixed[par] | bit
+            z = _norms(child) < ctx.threshold
+            zeros.append((np.full(np.count_nonzero(z), k, np.int8), c_fixed[z], c_bits[z]))
+            if k < max_fixed:
+                level.append((p.astype(np.int8), c_fixed, c_bits, child))
+        if level:
+            last, fixed, bits, state = (np.concatenate(c) for c in zip(*level))
+    n_fixed, fixed, bits = (np.concatenate(c) for c in zip(*zeros))
+    keep = (bits == gp.bits) | ((fixed & (gp.bits ^ gpp.bits)) != 0)
+    n_fixed, green, red = n_fixed[keep], fixed[keep] & bits[keep], fixed[keep] & ~bits[keep]
+    order = np.lexsort((red, green, n_fixed))
+    return EventArray(green[order], red[order])
 
 
 def provenance_counts(scan: ZeroScan) -> dict[str, int]:
@@ -552,15 +543,15 @@ def _ray_candidates() -> np.ndarray:
     return _column([(e.green_mask, e.red_mask) for e in events], np.int64)
 
 
-def _threat_pairs(contexts) -> list[EventArray]:
-    """`structural_threat_pairs` of each context, from one member-state pass
-    over every context's candidates, each read in its context's ordering."""
-    ctx = _shared_context(contexts)
+def _threat_pairs(ctx: Context, ray_at) -> list[EventArray]:
+    """`structural_threat_pairs` under `ctx`'s state, threshold and detector
+    stage for each ray order row of `ray_at` (n, 33), from one member-state
+    pass over every row's candidates, each read in its row's order."""
     gp, gpp = phi_m_support()
-    rays = np.array([c.ordering.ray_at for c in contexts], dtype=np.int8)
-    shared = np.broadcast_to(_ray_candidates(), (len(contexts), *_ray_candidates().shape))
+    rays = np.asarray(ray_at, dtype=np.int8).reshape(-1, N_RAYS)
+    shared = np.broadcast_to(_ray_candidates(), (len(rays), *_ray_candidates().shape))
     gap11, gap7 = _gap_masks(gp, _chain_basis(11), rays), _gap_masks(gpp, _chain_basis(7), rays)
-    masks = np.concatenate([shared, gap11[:, None], gap7[:, None]], axis=1)  # per context
+    masks = np.concatenate([shared, gap11[:, None], gap7[:, None]], axis=1)  # per row
     norms = ctx.norms_in_orders(masks.reshape(-1, 2), np.repeat(rays, masks.shape[1], axis=0))
     zero = (np.array(norms) < ctx.threshold).reshape(masks.shape[:2])
     return [EventArray(m[z, 0], m[z, 1]) for m, z in zip(masks, zero)]
@@ -571,40 +562,26 @@ def structural_threat_pairs(ctx: Context) -> EventArray:
     threshold, in order: for each ray where the support colourings disagree
     (in ray order), gamma_P on B11 plus that ray and gamma_P' on B7 plus
     that ray; then the B11/B7 gap pair.  Each is tested once on its own:
-    which of them pair into a cover is for `coverage_check` alone.  A chunk
-    of one."""
-    return _threat_pairs([ctx])[0]
+    which of them pair into a cover is for `coverage_check` alone.  The
+    ordering search passes all its candidates' orders to `_threat_pairs`
+    at once."""
+    return _threat_pairs(ctx, [ctx.ordering.ray_at])[0]
 
 
-def _chunk_size(ctx: Context, max_fixed: int) -> int:
-    """Contexts per chunk: as many as keep the chunk's last-level child
-    states within `_CHUNK_BYTES`, and at least one."""
-    _check_depth(max_fixed)
-    child = _Chains([ctx]).state[0].nbytes
-    return max(1, _CHUNK_BYTES // (child * (math.comb(N_RAYS, max_fixed) << max_fixed)))
-
-
-def _coverages(contexts, max_fixed: int):
-    """`context_coverage` of each context in turn, in chunks of contexts
-    that share state, threshold and detector stage: one level scan and one
-    member-state pass per chunk, whose scans go once the caller has taken
-    them."""
+def _cover(zeros: EventArray, built: EventArray, max_fixed: int) -> CoverageVerdict:
+    """`coverage_check` of the support on scanned zeros followed by the zero
+    structural candidates."""
+    events = EventArray(np.concatenate([zeros.green, built.green]),
+                        np.concatenate([zeros.red, built.red]))
     scope = f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
-    size = _chunk_size(contexts[0], max_fixed) if contexts else 1
-    for lo in range(0, len(contexts), size):
-        chunk = contexts[lo : lo + size]
-        for scan, built in zip(_scans(chunk, max_fixed), _threat_pairs(chunk)):
-            events = EventArray(
-                np.concatenate([scan.events.green, built.green]),
-                np.concatenate([scan.events.red, built.red]),
-            )
-            yield coverage_check(phi_m_support(), events, scope), scan
+    return coverage_check(phi_m_support(), events, scope)
 
 
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
     """The scan's zeros and the zero structural candidates, as plain zero
-    events, then the coverage decision on them all.  A chunk of one."""
-    return next(_coverages([ctx], max_fixed))
+    events, then the coverage decision on them all."""
+    scan = scan_zero_events(ctx, max_fixed)
+    return _cover(scan.events, structural_threat_pairs(ctx), max_fixed), scan
 
 
 # --- the ordering search ---------------------------------------------------------
@@ -616,7 +593,6 @@ class SearchCandidate:
     ordering: Ordering
     threshold: float
     verdict: CoverageVerdict
-    zero_count: int
     support_holders: int  # zero events containing either support colouring
 
     def context(self) -> Context:
@@ -686,11 +662,12 @@ def ordering_search(
     the state axis therefore decides nothing.  Verdicts never claim
     preclusivity, only that no cover was found within the scan scope.
 
-    Every ordering is drawn first; the candidates are then scored in chunks
-    (`_coverages`), each with one level scan over its orderings laid end to
-    end and one member-state pass for its structural candidates.  A chunk
-    holds as many candidates as keep its last-level child states within one
-    scan block of the default context: three at depth 2, one from depth 3.
+    A candidate's verdict reads only zero events that hold gamma_P or
+    gamma_P', so each candidate is scored from its `_holders` (the scan's
+    support holders, in its record order) and its structural zeros, which
+    come from one `_threat_pairs` pass over every candidate's ordering:
+    `coverage_check` then picks the witness `context_coverage` picks.
+    Candidates rank by (covered, support holders, label).
 
     `strategy` accepts only "structural", the one search; the keyword stays
     for the benchmark's callers and goes with the next benchmark change.
@@ -699,6 +676,9 @@ def ordering_search(
         raise ValueError("strategy must be 'structural'")
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    _check_depth(scan_max_fixed)
+    state = maximally_mixed_state()
+    shared = Context(Ordering.default(), state, threshold)  # checks the threshold
     rng = np.random.default_rng(seed)
     drawn = []  # (label, ordering): every ordering is drawn before any is scored
     for i in range(budget):
@@ -712,18 +692,14 @@ def ordering_search(
             ordering = Ordering(tuple(int(x) for x in rng.permutation(N_RAYS)))
             label = f"random-ord-{i}"
         drawn.append((label, ordering))
-    state = maximally_mixed_state()
-    contexts = [Context(ordering, state, threshold) for _, ordering in drawn]
-    gp, gpp = phi_m_support()
+    built = _threat_pairs(shared, [ordering.ray_at for _, ordering in drawn])
     candidates = []
-    for (label, ordering), (verdict, scan) in zip(drawn, _coverages(contexts, scan_max_fixed)):
-        holders = int(np.count_nonzero(scan.events.holds(gp) | scan.events.holds(gpp)))
-        candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(scan), holders))
+    for (label, ordering), zeros in zip(drawn, built):
+        holders = _holders(Context(ordering, state, threshold), scan_max_fixed)
+        verdict = _cover(holders, zeros, scan_max_fixed)
+        candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(holders)))
 
-    ranked = sorted(
-        candidates,
-        key=lambda c: (c.verdict.covered, c.support_holders, c.zero_count, c.label),
-    )
+    ranked = sorted(candidates, key=lambda c: (c.verdict.covered, c.support_holders, c.label))
     return SearchReport(
         seed=seed,
         budget=budget,

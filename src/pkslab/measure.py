@@ -16,7 +16,8 @@ stepping all their chains together with the zero scan's step.  A single
 D(a, b), a measure, a norm or a zero test is a batch of one; callers with
 several events make one call.  `Context.norms_in_orders` runs the same
 member-state pass and functional on events that each carry their own ray
-order, for the ordering search's structural candidates.
+order: an ordering search tests the structural candidates of all its
+orderings in one such pass.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ def test_geometry_text_and_structured(capsys):
     assert "bases: 16" in out
     code, report = run_json(capsys, "geometry")
     assert code == 0
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["ray_count"] == 33
     assert report["basis_count"] == 16
     assert report["symmetry_count"] == 24
@@ -376,6 +376,7 @@ def test_zero_scan_search_refuses_state_and_detector(capsys, tmp_path, monkeypat
         raise AssertionError("scanned before refusing the options")
 
     monkeypatch.setattr(explorer, "_zero_rows", no_scan)
+    monkeypatch.setattr(explorer, "_holders", no_scan)
     for extra in (["--detector", "021"], ["--state", str(state)]):
         code = main(["zero-scan", "--max-fixed", "1", "--budget", "3", *extra, "--format", "structured"])
         out, err = capsys.readouterr()
@@ -389,6 +390,8 @@ def test_zero_scan_with_search(capsys):
     assert len(report["search"]["candidates"]) == 3
     assert "strategy" not in report["search"]
     assert report["search"]["scan_max_fixed"] == report["max_fixed"]
+    assert all("support_holders" in c and "zero_events" not in c
+               for c in report["search"]["candidates"])
     probe = next(
         c for c in report["search"]["candidates"] if c["label"] == "probe-021-last"
     )

@@ -521,10 +521,10 @@ def test_cartesian_table_and_state_slots_match_the_projectors(rng):
         green = np.outer(u, u)
         assert np.allclose(t @ green @ t.conj().T, projs[i, 0], atol=1e-15)
         assert np.allclose(t @ (np.eye(3) - green) @ t.conj().T, projs[i, 1], atol=1e-15)
-    assert np.array_equal(explorer._Chains([Context()]).state, [[[[0.0, 0.0, 1.0]]]])
+    assert np.array_equal(explorer._Chains(Context()).state, [[[[0.0, 0.0, 1.0]]]])
     for state in (random_mixed_state(rng), random_pure_state(rng), maximally_mixed_state()):
         ctx = Context(random_ordering(rng), state)
-        slots = explorer._Chains([ctx]).state[0, 0]
+        slots = explorer._Chains(ctx).state[0, 0]
         assert slots.shape[0] <= 2 * len(state.terms)
         for i, u in enumerate(spin.ray_directions()):
             along = slots @ u
@@ -578,7 +578,7 @@ def _reference_zero_rows(ctx, max_fixed):
     vanishes, a chain that ends before the detector being split after its
     last stage.  Returns the green, red, norm and code columns in record
     order and the smallest rejected norm."""
-    chains = explorer._Chains([ctx])
+    chains = explorer._Chains(ctx)
     cut = None if ctx.detector is None else ctx.detector - 1
 
     def along(v, u):
@@ -662,7 +662,7 @@ def test_the_detector_split_is_the_oracle_projectors(rng):
 
     for state in (random_pure_state(rng), random_mixed_state(rng, 3), maximally_mixed_state()):
         ctx = Context(random_ordering(rng), state, detector=int(rng.integers(1, N_RAYS)))
-        chains, cut = explorer._Chains([ctx]), ctx.detector - 1
+        chains, cut = explorer._Chains(ctx), ctx.detector - 1
         v = np.repeat(chains.state, 3, axis=0)
         split = chains._split(v, np.array([-1, cut, -1]), np.array([N_RAYS - 1, N_RAYS - 1, cut]))
         terms = [np.sqrt(w) * psi for w, psi in state.terms]
@@ -971,71 +971,60 @@ def test_coverage_makes_no_records(monkeypatch):
     assert built == [1]
 
 
-# --- ordering-search chunks ------------------------------------------------------
+# --- the ordering search's holder pass ------------------------------------------
 
 
-def _columns(scan):
-    return scan.events.green, scan.events.red, scan.norm, scan.code
+def _scan_holders(scan):
+    """The scan's events that hold gamma_P or gamma_P', in record order."""
+    gp, gpp = phi_m_support()
+    held = scan.events.holds(gp) | scan.events.holds(gpp)
+    return scan.events.green[held], scan.events.red[held]
 
 
-def _assert_scans_equal(got, want):
-    """Equal columns byte for byte, and the same smallest rejected norm."""
-    for a, b in zip(_columns(got), _columns(want)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert repr(got.min_rejected) == repr(want.min_rejected)
+def _holder_cases(rng):
+    """(context, depth): 42 random contexts at depths 1-3 under the maximally
+    mixed, random pure and random mixed states, half of them detected at a
+    random stage, at thresholds 1e-10 and 0.1; then two at depth 4."""
+    states = (maximally_mixed_state, lambda: random_pure_state(rng),
+              lambda: random_mixed_state(rng, 3))
+    for i in range(42):
+        detector = int(rng.integers(1, N_RAYS + 1)) if i % 2 else None
+        threshold = 0.1 if i % 4 >= 2 else DEFAULT_THRESHOLD
+        yield Context(random_ordering(rng), states[i % 3](), threshold, detector), 1 + i % 3
+    yield Context(random_ordering(rng), maximally_mixed_state()), 4
+    yield Context(random_ordering(rng), random_pure_state(rng), detector=17), 4
 
 
-def _chunk_cases(rng):
-    """(contexts sharing state, threshold and detector stage, depth): random
-    and separating orderings with the 021-last probe under the maximally
-    mixed state at depths 1-3, the same under |0,z>, whose single-ray zeros
-    start at the chunk's first level, and random mixed states whose random
-    orderings share the detector stage 1, 12 or 33 (so each detects its own
-    ray)."""
-    mixed = maximally_mixed_state()
-    probe = Ordering.default().with_ray_last(ray_index("021"))
-    for depth in (1, 2, 3):
-        orderings = [probe, random_ordering(rng), explorer._separating_ordering(rng),
-                     random_ordering(rng), explorer._separating_ordering(rng)]
-        yield [Context(o, mixed) for o in orderings], depth
-    pure = InitialState.default()
-    yield [Context(o, pure) for o in orderings], 2
-    for stage in (1, 12, 33):
-        state = random_mixed_state(rng)
-        orderings = [random_ordering(rng) for _ in range(3)] + [probe]
-        yield [Context(o, state, detector=stage) for o in orderings], 3
+def test_holders_are_the_scans_support_holders(rng):
+    """`_holders` steps only the chains of gamma_P and gamma_P', yet lists
+    the scan's support holders mask for mask and in record order, events
+    holding both colourings once."""
+    gp, gpp = phi_m_support()
+    found = both = 0
+    for ctx, depth in _holder_cases(rng):
+        holders = explorer._holders(ctx, depth)
+        green, red = _scan_holders(scan_zero_events(ctx, depth))
+        assert holders.green.tobytes() == green.tobytes(), (ctx.detector, depth)
+        assert holders.red.tobytes() == red.tobytes(), (ctx.detector, depth)
+        found += len(holders)
+        both += np.count_nonzero(holders.holds(gp) & holders.holds(gpp))
+    assert found and both  # some contexts have holders, some of them hold both
 
 
-def test_chunked_scan_equals_each_single_scan(rng):
-    """One level scan over orderings laid end to end gives each context the
-    records and smallest rejected norm of its own scan, bit for bit, and its
-    structural zeros are each context's own."""
-    for contexts, depth in _chunk_cases(rng):
-        scans = explorer._scans(contexts, depth)
-        assert len(scans) == len(contexts)
-        for ctx, scan in zip(contexts, scans):
-            _assert_scans_equal(scan, scan_zero_events(ctx, depth))
-        for ctx, built in zip(contexts, explorer._threat_pairs(contexts)):
-            alone = structural_threat_pairs(ctx)
-            assert built.green.tobytes() == alone.green.tobytes()
-            assert built.red.tobytes() == alone.red.tobytes()
-    # a chunk's scan also equals the per-colour reference, context by context
-    contexts, _ = next(_chunk_cases(rng))
-    for ctx, scan in zip(contexts, explorer._scans(contexts, 2)):
-        *columns, min_rejected = _reference_zero_rows(ctx, 2)
-        for got, want in zip(_columns(scan), columns):
-            assert got.shape == want.shape and (got == want).all()
-        assert scan.min_rejected == min_rejected
-
-
-def test_a_chunk_shares_state_threshold_and_detector(rng):
-    ordering = random_ordering(rng)
-    for other in (Context(ordering, maximally_mixed_state()),  # an equal state, built apart
-                  Context(ordering, threshold=0.1), Context(ordering, detector=3)):
-        with pytest.raises(ValueError, match="share"):
-            explorer._scans([Context(ordering), other], 2)
-        with pytest.raises(ValueError, match="share"):
-            explorer._threat_pairs([Context(ordering), other])
+def test_the_depth4_survivor_has_no_cover():
+    """An ordering that no homogeneous event with <= 4 fixed rays or
+    structural candidate covers under the maximally mixed state: 218 of
+    its 88,395 zeros hold a support colouring, and the holder pass finds
+    the same 218."""
+    labels = ("2m10 10m1 211 012 011 01m1 2m11 2m1m1 m12m1 m102 100 101 02m1 1m12 210 010 021 "
+              "m121 12m1 112 21m1 201 120 m120 m1m12 1m10 102 001 m112 0m12 20m1 110 121").split()
+    ctx = Context(Ordering.from_labels(labels), maximally_mixed_state())
+    verdict, scan = context_coverage(ctx, 4)
+    assert not verdict.covered and verdict.witness is None
+    green, red = _scan_holders(scan)
+    assert (len(scan), len(green)) == (88395, 218)
+    holders = explorer._holders(ctx, 4)
+    assert holders.green.tobytes() == green.tobytes() and holders.red.tobytes() == red.tobytes()
 
 
 def _reference_gap_event(c, basis_indices, ordering):
@@ -1069,17 +1058,18 @@ def _reference_threats(ctx):
 
 
 def test_structural_candidates_of_a_chunk_equal_the_per_context_norms(rng):
-    """The chunk's one member-state pass reads each context's candidates in
-    its own ordering: gap events equal the ray-by-ray construction, every
-    norm equals `Context.norms` of that context to the bit, and the zeros
-    are the candidates below the threshold, in order."""
+    """One member-state pass reads each ordering's candidates in that
+    ordering: gap events equal the ray-by-ray construction, every norm
+    equals `Context.norms` of that ordering's context to the bit, and the
+    zeros are the candidates below the threshold, in order."""
     for state, detector in ((maximally_mixed_state(), None), (random_mixed_state(rng, 3), 12),
                             (random_pure_state(rng), 1)):
         contexts = [Context(random_ordering(rng), state, 0.1, detector) for _ in range(4)]
         contexts.append(Context(Ordering.default().with_ray_last(ray_index("021")), state, 0.1,
                                 detector))
         gp, gpp = phi_m_support()
-        for ctx, built in zip(contexts, explorer._threat_pairs(contexts)):
+        rays = [ctx.ordering.ray_at for ctx in contexts]
+        for ctx, built in zip(contexts, explorer._threat_pairs(contexts[0], rays)):
             candidates, norms, zeros = _reference_threats(ctx)
             assert explorer._gap_pair(gp, gpp, ctx.ordering) == tuple(candidates[-2:])
             masks = np.array([(e.green_mask, e.red_mask) for e in candidates], dtype=np.int64)
@@ -1091,9 +1081,8 @@ def test_structural_candidates_of_a_chunk_equal_the_per_context_norms(rng):
 def _reference_search(budget, seed, scan_max_fixed, threshold):
     """The ordering search one candidate at a time: each ordering drawn and
     then scored alone by `context_coverage`, under its own maximally mixed
-    state."""
+    state, with its support holders counted from its scan."""
     rng = np.random.default_rng(seed)
-    gp, gpp = phi_m_support()
     candidates = []
     for i in range(budget):
         if i == 0:
@@ -1107,42 +1096,53 @@ def _reference_search(budget, seed, scan_max_fixed, threshold):
             label = f"random-ord-{i}"
         ctx = Context(ordering, maximally_mixed_state(), threshold)
         verdict, scan = context_coverage(ctx, scan_max_fixed)
-        holders = int(np.count_nonzero(scan.events.holds(gp) | scan.events.holds(gpp)))
-        candidates.append(
-            explorer.SearchCandidate(label, ordering, threshold, verdict, len(scan), holders))
-    ranked = sorted(candidates, key=lambda c: (c.verdict.covered, c.support_holders,
-                                               c.zero_count, c.label))
+        holders = len(_scan_holders(scan)[0])
+        candidates.append(explorer.SearchCandidate(label, ordering, threshold, verdict, holders))
+    ranked = sorted(candidates, key=lambda c: (c.verdict.covered, c.support_holders, c.label))
     return explorer.SearchReport(seed, budget, scan_max_fixed, tuple(ranked))
 
 
-@pytest.mark.parametrize("scan_max_fixed", [1, 2, 3])
+@pytest.mark.parametrize("scan_max_fixed", [1, 2, 3, 4])
 def test_chunked_search_equals_the_per_candidate_loop(scan_max_fixed):
-    budget = 8 if scan_max_fixed < 3 else 5
-    for seed in range(8):
+    """Statuses, witnesses, support holders and candidate order equal the
+    per-candidate reference, at thresholds 1e-10 and 0.1 (seed 1)."""
+    budget = {1: 8, 2: 8, 3: 5, 4: 3}[scan_max_fixed]
+    for seed in range(2 if scan_max_fixed == 4 else 8):
         threshold = 0.1 if seed % 4 == 1 else DEFAULT_THRESHOLD
         got = ordering_search(budget, seed, scan_max_fixed, threshold)
         assert got == _reference_search(budget, seed, scan_max_fixed, threshold), seed
 
 
-def test_deep_searches_scan_one_candidate_per_chunk(monkeypatch):
-    """A chunk's last-level child states stay within one block of the
-    default context's: three maximally mixed candidates at depth 2, one from
-    depth 3, each chunk with one level scan and one structural pass."""
-    scanned, threats = [], []
-    zero_rows, threat_pairs = explorer._zero_rows, explorer._threat_pairs
+def test_a_search_never_scans_and_makes_one_structural_pass(monkeypatch):
+    """The search reads holders, never the full scan, and its structural
+    candidates go through one member-state pass for every candidate."""
+    passes = []
+    threat_pairs = explorer._threat_pairs
 
-    def counting_rows(contexts, max_fixed):
-        scanned.append(len(contexts))
-        return zero_rows(contexts, max_fixed)
+    def no_scan(*_):
+        raise AssertionError("the search ran the full scan")
 
-    def counting_threats(contexts):
-        threats.append(len(contexts))
-        return threat_pairs(contexts)
+    def counting_threats(ctx, ray_at):
+        passes.append(len(ray_at))
+        return threat_pairs(ctx, ray_at)
 
-    monkeypatch.setattr(explorer, "_zero_rows", counting_rows)
+    monkeypatch.setattr(explorer, "_zero_rows", no_scan)
     monkeypatch.setattr(explorer, "_threat_pairs", counting_threats)
-    for depth, chunks in ((2, [3, 3, 1]), (3, [1] * 7), (4, [1, 1])):
-        scanned.clear(), threats.clear()
-        ordering_search(len(chunks) if depth == 4 else 7, seed=3, scan_max_fixed=depth)
-        assert scanned == threats == chunks
-    assert explorer._chunk_size(Context(), 2) == 15  # one slot of the default state
+    for depth, budget in ((1, 7), (2, 7), (3, 4), (4, 2)):
+        passes.clear()
+        report = ordering_search(budget, seed=3, scan_max_fixed=depth)
+        assert len(report.candidates) == budget and passes == [budget]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"scan_max_fixed": 9}, {"scan_max_fixed": 0}, {"threshold": -1.0}, {"threshold": 0.0},
+    {"threshold": math.inf}, {"threshold": math.nan},
+])
+def test_search_checks_depth_and_threshold_before_drawing(monkeypatch, kwargs):
+    def no_draw(*_):
+        raise AssertionError("drew an ordering before checking the arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for budget in (0, 4):
+        with pytest.raises(ValueError, match="max_fixed|threshold"):
+            ordering_search(budget, **kwargs)
