@@ -15,6 +15,7 @@ evidence on, not a theorem it can decide.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -342,41 +343,156 @@ def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     return ZeroScan(*columns, min_rejected)
 
 
-def _holders(ctx, max_fixed: int) -> EventArray:
-    """The events of `scan_zero_events(ctx, max_fixed)` that hold gamma_P or
-    gamma_P', in the scan's record order, from the chains of those two
-    colourings alone.
+# Holders with up to this many fixed rays are read from `_holder_table`;
+# deeper ones are stepped per ordering from the table's states at this level.
+_TABLE_FIXED = 3
 
-    A holder of a colouring fixes each of its rays at the colouring's colour,
-    so its chain is one of the scan's chains with the colouring's child at
-    every step.  Two root rows, one per colouring, are stepped level by level
-    with `_Chains.branch`, and each child keeps its colouring's colour at the
-    new ray.  An event holding both colourings fixes no ray where they
-    disagree, so a gamma_P' row is kept only where its fixed rays meet the
-    disagreement rays; the gamma_P row lists it once."""
-    chains, (gp, gpp) = _Chains(ctx), phi_m_support()
+
+def _holder_states(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chain states (2, 33**k, sectors, slots, 3) of the gamma_P and gamma_P'
+    chains under the maximally mixed state, without a detector, for every
+    ordered k-tuple of rays (r_1, ..., r_k) in stage order, at row
+    r_1 33**(k-1) + ... + r_k (rows that repeat a ray are stepped too and
+    never read), and whether each row fixes a disagreement ray.
+
+    Such a chain depends only on its fixed rays in stage order, so these
+    states serve every ordering.  They are stepped level by level from the
+    root with `_Chains.branch` under `Ordering.default()`, where a position
+    is a ray, so every norm is the scan's to the bit.  A gamma_P' chain
+    fixing no disagreement ray is gamma_P's, so gamma_P' steps only the rows
+    that fix one and otherwise takes its colour from gamma_P's branch, which
+    builds both."""
+    chains = _Chains(Context(Ordering.default(), maximally_mixed_state()))
+    gp, gpp = phi_m_support()
+    bits, disagree = np.array([[gp.bits], [gpp.bits]]), gp.bits ^ gpp.bits
+    state, fixes = np.repeat(chains.state[None], 2, axis=0), np.zeros(1, dtype=bool)
+    for _ in range(k):
+        n = state.shape[1] * N_RAYS
+        par, ray = np.divmod(np.arange(n), N_RAYS)
+        green = (bits >> ray & 1).astype(bool)  # (colouring, row)
+        child = chains.branch(state[0, par], None, ray)[np.arange(n) + n * green]  # no cut
+        stepped = np.flatnonzero(fixes[par])  # gamma_P' parents fixing a disagreement ray
+        child[1, stepped] = chains.branch(state[1, par[stepped]], None, ray[stepped])[
+            np.arange(stepped.size) + stepped.size * green[1, stepped]]
+        state, fixes = child, fixes[par] | (disagree >> ray & 1).astype(bool)
+    return state, fixes
+
+
+@lru_cache(maxsize=None)
+def _holder_table(k: int) -> np.ndarray:
+    """Norms (2, 33**k) of `_holder_states(k)`, built on first use; only
+    the norms are kept."""
+    state, fixes = _holder_states(k)
+    norm = np.repeat(_norms(state[0])[None], 2, axis=0)
+    norm[1, fixes] = _norms(state[1, fixes])
+    return _column(norm, np.float64)
+
+
+@lru_cache(maxsize=1)
+def _table_states() -> np.ndarray:
+    """`_holder_states(_TABLE_FIXED)`, from which deeper levels are stepped."""
+    return _column(_holder_states(_TABLE_FIXED)[0], np.float64)
+
+
+@lru_cache(maxsize=None)
+def _subsets(k: int) -> np.ndarray:
+    """The increasing k-subsets of the 33 positions, (C(33, k), k), in
+    `itertools.combinations` order."""
+    return _column(list(itertools.combinations(range(N_RAYS), k)), np.intp)
+
+
+def _table_keys(at: np.ndarray) -> np.ndarray:
+    """`_holder_table` rows of ray tuples `at` (..., k), in stage order."""
+    return at @ N_RAYS ** np.arange(at.shape[-1] - 1, -1, -1)
+
+
+def _stepped_holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Green and red masks, in record order, of one ray order's holders with
+    `_TABLE_FIXED` < k <= `max_fixed` fixed rays.
+
+    The level-`_TABLE_FIXED` table states of its increasing subsets, gamma_P
+    at every subset and gamma_P' at those fixing a disagreement ray, are
+    stepped level by level with `_Chains.branch`, each child keeping its
+    colouring's colour at the new ray.  A gamma_P row fixing no
+    disagreement ray is gamma_P''s too: where the new ray is one, the other
+    child of its branch is the gamma_P' row, so every gamma_P' row fixes a
+    disagreement ray and none is stepped twice."""
+    gp, gpp = phi_m_support()
+    disagree = gp.bits ^ gpp.bits
+    chains = _Chains(Context(Ordering(tuple(ray_at.tolist())), maximally_mixed_state()))
+    sub = _subsets(_TABLE_FIXED)
+    at = chains.ray_at[sub]
+    fixed = np.bitwise_or.reduce(np.int64(1) << at, axis=1)
+    pp = np.flatnonzero(fixed & disagree)
+    key, table = _table_keys(at), _table_states()
     # per row: last position, fixed mask, the green mask of its colouring, state
-    last, fixed, bits = np.full(2, -1), np.zeros(2, np.int64), np.array([gp.bits, gpp.bits])
-    state = np.repeat(chains.state, 2, axis=0)
+    last, fixed = np.concatenate([sub[:, -1], sub[pp, -1]]), np.concatenate([fixed, fixed[pp]])
+    bits = np.repeat([gp.bits, gpp.bits], [len(sub), pp.size])
+    state = np.concatenate([table[0, key], table[1, key[pp]]])
     zeros = []  # per block: n_fixed, fixed mask, colouring of zero rows
-    for k in range(1, max_fixed + 1):
+    for k in range(_TABLE_FIXED + 1, max_fixed + 1):
         level = []
         for par, p in _children(last):
-            c_bits, bit = bits[par], np.int64(1) << chains.ray_at[p]
-            green = (c_bits & bit) != 0
-            child = chains.branch(state[par], last[par], p)[np.arange(par.size) + par.size * green]
-            c_fixed = fixed[par] | bit
-            z = _norms(child) < ctx.threshold
+            n, bit = par.size, np.int64(1) << chains.ray_at[p]
+            green = (bits[par] & bit) != 0
+            fork = np.flatnonzero((bits[par] == gp.bits) & ((fixed[par] & disagree) == 0)
+                                  & ((bit & disagree) != 0))
+            pick = np.concatenate([np.arange(n) + n * green, fork + n * ~green[fork]])
+            child = chains.branch(state[par], last[par], p)[pick]
+            pair = pick % n
+            c_fixed = fixed[par[pair]] | bit[pair]
+            c_bits = np.concatenate([bits[par], np.full(fork.size, gpp.bits)])
+            z = _norms(child) < threshold
             zeros.append((np.full(np.count_nonzero(z), k, np.int8), c_fixed[z], c_bits[z]))
             if k < max_fixed:
-                level.append((p.astype(np.int8), c_fixed, c_bits, child))
+                level.append((p[pair].astype(np.int8), c_fixed, c_bits, child))
         if level:
             last, fixed, bits, state = (np.concatenate(c) for c in zip(*level))
     n_fixed, fixed, bits = (np.concatenate(c) for c in zip(*zeros))
-    keep = (bits == gp.bits) | ((fixed & (gp.bits ^ gpp.bits)) != 0)
-    n_fixed, green, red = n_fixed[keep], fixed[keep] & bits[keep], fixed[keep] & ~bits[keep]
+    green, red = fixed & bits, fixed & ~bits
     order = np.lexsort((red, green, n_fixed))
-    return EventArray(green[order], red[order])
+    return green[order], red[order]
+
+
+def _holders(ray_at, threshold: float, max_fixed: int) -> list[EventArray]:
+    """For each ray order row of `ray_at` (n, 33), the events of its
+    `scan_zero_events` under the maximally mixed state, without a detector,
+    that hold gamma_P or gamma_P', in the scan's record order.
+
+    A holder of a colouring fixes each of its rays at the colouring's colour,
+    so its chain is one of the scan's chains with the colouring's child at
+    every step.  An event holding both colourings fixes no ray where they
+    disagree: its gamma_P row lists it once, and a gamma_P' row is kept only
+    where its fixed rays meet the disagreement rays.  Holders with up to
+    `_TABLE_FIXED` fixed rays are read from `_holder_table` for all rows at
+    once: a row's holders with k fixed rays are the table rows of its
+    increasing k-subsets of positions, keyed by the rays at them, whose
+    norms fall below `threshold`.  Deeper ones are `_stepped_holders`."""
+    gp, gpp = phi_m_support()
+    disagree, bits = gp.bits ^ gpp.bits, np.array([gp.bits, gpp.bits])
+    rays = np.asarray(ray_at, dtype=np.int8).reshape(-1, N_RAYS)
+    levels = []  # per level: row of ray_at, n_fixed, green, red of holders
+    for k in range(1, min(max_fixed, _TABLE_FIXED) + 1):
+        norm = _holder_table(k)  # built before the level's gather is held
+        at = rays[:, _subsets(k)]  # (rows, subsets, k)
+        fixed = np.bitwise_or.reduce(np.int64(1) << at, axis=2)
+        zero = norm[:, _table_keys(at)] < threshold
+        zero[1] &= (fixed & disagree) != 0
+        colouring, row, s = np.nonzero(zero)
+        f, b = fixed[row, s], bits[colouring]
+        levels.append((row, np.full(row.size, k, np.int8), f & b, f & ~b))
+    row, n_fixed, green, red = (np.concatenate(c) for c in zip(*levels))
+    order = np.lexsort((red, green, n_fixed, row))
+    split = np.cumsum(np.bincount(row, minlength=len(rays)))[:-1]
+    greens, reds = np.split(green[order], split), np.split(red[order], split)
+    held = []
+    for i in range(len(rays)):
+        g, r = greens[i], reds[i]
+        if max_fixed > _TABLE_FIXED:
+            deeper = _stepped_holders(rays[i], threshold, max_fixed)
+            g, r = np.concatenate([g, deeper[0]]), np.concatenate([r, deeper[1]])
+        held.append(EventArray(g, r))
+    return held
 
 
 def provenance_counts(scan: ZeroScan) -> dict[str, int]:
@@ -677,8 +793,7 @@ def ordering_search(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     _check_depth(scan_max_fixed)
-    state = maximally_mixed_state()
-    shared = Context(Ordering.default(), state, threshold)  # checks the threshold
+    shared = Context(Ordering.default(), maximally_mixed_state(), threshold)  # checks the threshold
     rng = np.random.default_rng(seed)
     drawn = []  # (label, ordering): every ordering is drawn before any is scored
     for i in range(budget):
@@ -692,10 +807,10 @@ def ordering_search(
             ordering = Ordering(tuple(int(x) for x in rng.permutation(N_RAYS)))
             label = f"random-ord-{i}"
         drawn.append((label, ordering))
-    built = _threat_pairs(shared, [ordering.ray_at for _, ordering in drawn])
+    rays = [ordering.ray_at for _, ordering in drawn]
+    built, held = _threat_pairs(shared, rays), _holders(rays, threshold, scan_max_fixed)
     candidates = []
-    for (label, ordering), zeros in zip(drawn, built):
-        holders = _holders(Context(ordering, state, threshold), scan_max_fixed)
+    for (label, ordering), zeros, holders in zip(drawn, built, held):
         verdict = _cover(holders, zeros, scan_max_fixed)
         candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(holders)))
 

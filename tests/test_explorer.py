@@ -974,41 +974,91 @@ def test_coverage_makes_no_records(monkeypatch):
 # --- the ordering search's holder pass ------------------------------------------
 
 
-def _scan_holders(scan):
-    """The scan's events that hold gamma_P or gamma_P', in record order."""
+def _scan_holders(scan, rows=True):
+    """The scan's events that hold gamma_P or gamma_P', in record order,
+    among the records `rows` selects (all by default)."""
     gp, gpp = phi_m_support()
-    held = scan.events.holds(gp) | scan.events.holds(gpp)
+    held = (scan.events.holds(gp) | scan.events.holds(gpp)) & rows
     return scan.events.green[held], scan.events.red[held]
 
 
-def _holder_cases(rng):
-    """(context, depth): 42 random contexts at depths 1-3 under the maximally
-    mixed, random pure and random mixed states, half of them detected at a
-    random stage, at thresholds 1e-10 and 0.1; then two at depth 4."""
-    states = (maximally_mixed_state, lambda: random_pure_state(rng),
-              lambda: random_mixed_state(rng, 3))
-    for i in range(42):
-        detector = int(rng.integers(1, N_RAYS + 1)) if i % 2 else None
-        threshold = 0.1 if i % 4 >= 2 else DEFAULT_THRESHOLD
-        yield Context(random_ordering(rng), states[i % 3](), threshold, detector), 1 + i % 3
-    yield Context(random_ordering(rng), maximally_mixed_state()), 4
-    yield Context(random_ordering(rng), random_pure_state(rng), detector=17), 4
+def _holder_orderings(rng, n_random):
+    """The probe ordering, two separating orderings and `n_random` random ones."""
+    yield Ordering.default().with_ray_last(ray_index("021"))
+    yield explorer._separating_ordering(rng)
+    yield explorer._separating_ordering(rng)
+    for _ in range(n_random):
+        yield random_ordering(rng)
 
 
 def test_holders_are_the_scans_support_holders(rng):
-    """`_holders` steps only the chains of gamma_P and gamma_P', yet lists
-    the scan's support holders mask for mask and in record order, events
-    holding both colourings once."""
+    """Read from the holder table (k <= 3) and stepped from its level-3
+    states (k = 4), the holders of each ordering under the maximally mixed
+    state are the scan's support holders mask for mask and in record order,
+    events holding both colourings once, at thresholds 1e-10, 0.1 and 0.3
+    (the first with such events at k <= 3).  One scan at 0.3 serves all
+    three: the scan's norms do not depend on the threshold, so its zeros
+    under a smaller one are its records with norms below it."""
     gp, gpp = phi_m_support()
-    found = both = 0
-    for ctx, depth in _holder_cases(rng):
-        holders = explorer._holders(ctx, depth)
-        green, red = _scan_holders(scan_zero_events(ctx, depth))
-        assert holders.green.tobytes() == green.tobytes(), (ctx.detector, depth)
-        assert holders.red.tobytes() == red.tobytes(), (ctx.detector, depth)
-        found += len(holders)
-        both += np.count_nonzero(holders.holds(gp) & holders.holds(gpp))
-    assert found and both  # some contexts have holders, some of them hold both
+    both = np.zeros((5, 3), dtype=int)  # holders of both colourings, by fixed rays and threshold
+    for depth, n_random in ((3, 100), (4, 2)):
+        orderings = list(_holder_orderings(rng, n_random))
+        rays = [o.ray_at for o in orderings]
+        held = {t: explorer._holders(rays, t, depth) for t in (DEFAULT_THRESHOLD, 0.1, 0.3)}
+        for i, ordering in enumerate(orderings):
+            scan = scan_zero_events(Context(ordering, maximally_mixed_state(), 0.3), depth)
+            for j, (threshold, holders) in enumerate(held.items()):
+                green, red = _scan_holders(scan, scan.norm < threshold)
+                assert holders[i].green.tobytes() == green.tobytes(), (depth, i, threshold)
+                assert holders[i].red.tobytes() == red.tobytes(), (depth, i, threshold)
+                fixed = (green | red)[holders[i].holds(gp) & holders[i].holds(gpp)]
+                np.add.at(both[:, j], (fixed[:, None] >> np.arange(N_RAYS) & 1).sum(axis=1), 1)
+    assert both[3, 2] and both[4, 2]  # at 0.3 some holders hold both, at k = 3 and at k = 4
+
+
+def test_holder_table_norms_are_the_scans():
+    """Every holder's norm in the scan of an ordering, at a threshold above
+    every norm, is the table's norm of its fixed rays in stage order, to the
+    bit, for gamma_P and gamma_P' at k <= 3."""
+    rng = np.random.default_rng(9)
+    gp, gpp = phi_m_support()
+    checked = 0
+    for ordering in _holder_orderings(rng, 8):
+        scan = scan_zero_events(Context(ordering, maximally_mixed_state(), 2.0), 3)
+        fixed = scan.events.green | scan.events.red
+        ray_at = np.array(ordering.ray_at)
+        # each record's fixed rays in stage order
+        rows, p = np.nonzero((fixed[:, None] >> ray_at & 1).astype(bool))
+        k = np.bincount(rows, minlength=len(scan))
+        assert len(scan) == sum(math.comb(N_RAYS, j) << j for j in (1, 2, 3))
+        for j in (1, 2, 3):
+            at = ray_at[p[np.repeat(k == j, k)]].reshape(-1, j)
+            key, norm = explorer._table_keys(at), scan.norm[k == j]
+            for c, colouring in enumerate((gp, gpp)):
+                held = scan.events.holds(colouring)[k == j]
+                table = explorer._holder_table(j)[c, key[held]]
+                assert table.tobytes() == norm[held].tobytes(), (j, c)
+                checked += held.sum()
+    assert checked == 11 * 2 * sum(math.comb(N_RAYS, j) for j in (1, 2, 3))
+
+
+def test_a_depth2_search_builds_two_table_levels():
+    """The holder table is built lazily, one level at a time: a depth-2
+    search builds levels 1 and 2, a depth-3 search adds level 3, and only a
+    deeper search keeps the level-3 states it steps from."""
+    explorer._holder_table.cache_clear()
+    explorer._table_states.cache_clear()
+
+    def built():
+        return (explorer._holder_table.cache_info().currsize,
+                explorer._table_states.cache_info().currsize)
+
+    ordering_search(4, seed=2, scan_max_fixed=2)
+    assert built() == (2, 0)
+    ordering_search(4, seed=2, scan_max_fixed=3)
+    assert built() == (3, 0)
+    ordering_search(1, seed=2, scan_max_fixed=4)
+    assert built() == (3, 1)
 
 
 def test_the_depth4_survivor_has_no_cover():
@@ -1023,7 +1073,7 @@ def test_the_depth4_survivor_has_no_cover():
     assert not verdict.covered and verdict.witness is None
     green, red = _scan_holders(scan)
     assert (len(scan), len(green)) == (88395, 218)
-    holders = explorer._holders(ctx, 4)
+    [holders] = explorer._holders([ctx.ordering.ray_at], ctx.threshold, 4)
     assert holders.green.tobytes() == green.tobytes() and holders.red.tobytes() == red.tobytes()
 
 
