@@ -1,12 +1,14 @@
 """Systematic search for measure-zero events and coverage of the co-event
 support {gamma_P, gamma_P'}.
 
-A "covered" verdict always carries an explicit, numerically verified
-witness: a zero event containing both support colourings, or a disjoint
-pair of zero events containing one each (for a two-element support no
-larger family is ever needed).  A "not covered" verdict is always
-qualified by the scan scope, since only homogeneous events with a bounded
-number of fixed rays and a few structural constructions are examined.
+A "covered" verdict always carries an explicit witness: a zero event
+containing both support colourings, or a disjoint pair of zero events
+containing one each (for a two-element support no larger family is ever
+needed).  Its events are verified numerically, except the ordering
+search's gap pair, which is null exactly (see `_threat_pairs`).  A "not
+covered" verdict is always qualified by the scan scope, since only
+homogeneous events with a bounded number of fixed rays and a few
+structural constructions are examined.
 The constructions enter as plain zero events, so `coverage_check` is the
 one place where events are paired.  Whether some ordering and state make
 the co-event preclusive outright is an open question this module collects
@@ -454,9 +456,9 @@ def _stepped_holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarr
     return green[order], red[order]
 
 
-def _holders(ray_at, threshold: float, max_fixed: int) -> list[EventArray]:
-    """For each ray order row of `ray_at` (n, 33), the events of its
-    `scan_zero_events` under the maximally mixed state, without a detector,
+def _holders(ray_at, threshold: float, max_fixed: int) -> list[tuple]:
+    """For each ray order row of `ray_at` (n, 33), the (green, red) mask
+    columns of the events of its `scan_zero_events` under the maximally mixed state, without a detector,
     that hold gamma_P or gamma_P', in the scan's record order.
 
     A holder of a colouring fixes each of its rays at the colouring's colour,
@@ -491,7 +493,7 @@ def _holders(ray_at, threshold: float, max_fixed: int) -> list[EventArray]:
         if max_fixed > _TABLE_FIXED:
             deeper = _stepped_holders(rays[i], threshold, max_fixed)
             g, r = np.concatenate([g, deeper[0]]), np.concatenate([r, deeper[1]])
-        held.append(EventArray(g, r))
+        held.append((g, r))
     return held
 
 
@@ -659,36 +661,54 @@ def _ray_candidates() -> np.ndarray:
     return _column([(e.green_mask, e.red_mask) for e in events], np.int64)
 
 
-def _threat_pairs(ctx: Context, ray_at) -> list[EventArray]:
-    """`structural_threat_pairs` under `ctx`'s state, threshold and detector
-    stage for each ray order row of `ray_at` (n, 33), from one member-state
-    pass over every row's candidates, each read in its row's order."""
+def _threat_pairs(ray_at, threshold: float) -> list[tuple]:
+    """For each ray order row of `ray_at` (n, 33), the (green, red) mask
+    columns of `structural_threat_pairs` under the maximally mixed state,
+    without a detector, at `threshold`.
+
+    A ray candidate is a support chain: as in `_holder_states`, its
+    colouring's colour is stepped over its fixed rays in stage order with
+    `_Chains.branch` under `Ordering.default()`.  The gap pair is kept with
+    no norm taken: the rays between the first and last basis stages are
+    free and sum to I, so gamma_P's three red B11 projectors (gamma_P''s
+    red B7 ones) become adjacent, and the product of the three red
+    projectors of an orthonormal basis is exactly 0."""
     gp, gpp = phi_m_support()
-    rays = np.asarray(ray_at, dtype=np.int8).reshape(-1, N_RAYS)
-    shared = np.broadcast_to(_ray_candidates(), (len(rays), *_ray_candidates().shape))
+    rays = np.asarray(ray_at, dtype=np.intp).reshape(-1, N_RAYS)
+    shared = _ray_candidates()
+    # per ordering and candidate, its rays in stage order, fixed ones first
+    on = ((shared[:, 0] | shared[:, 1])[:, None] >> rays[:, None] & 1).astype(bool)
+    at = np.take_along_axis(rays[:, None], np.argsort(~on, axis=2, kind="stable"), axis=2)
+    at, length = at.reshape(-1, N_RAYS), on.sum(axis=2).ravel()
+    green_at = (np.tile(shared[:, 0], len(rays))[:, None] >> at & 1).astype(bool)
+    chains = _Chains(Context(Ordering.default(), maximally_mixed_state()))
+    state = np.repeat(chains.state, len(at), axis=0)
+    for j in range(length.max(initial=0)):
+        rows = np.flatnonzero(length > j)
+        child = chains.branch(state[rows], None, at[rows, j])
+        state[rows] = child[rows.size * green_at[rows, j] + np.arange(rows.size)]
+    zero = (_norms(state) < threshold).reshape(on.shape[:2])
     gap11, gap7 = _gap_masks(gp, _chain_basis(11), rays), _gap_masks(gpp, _chain_basis(7), rays)
-    masks = np.concatenate([shared, gap11[:, None], gap7[:, None]], axis=1)  # per row
-    norms = ctx.norms_in_orders(masks.reshape(-1, 2), np.repeat(rays, masks.shape[1], axis=0))
-    zero = (np.array(norms) < ctx.threshold).reshape(masks.shape[:2])
-    return [EventArray(m[z, 0], m[z, 1]) for m, z in zip(masks, zero)]
+    return [tuple(np.vstack([shared[z], a, b]).T) for z, a, b in zip(zero, gap11, gap7)]
 
 
 def structural_threat_pairs(ctx: Context) -> EventArray:
     """The structural candidates whose norm falls below the context
     threshold, in order: for each ray where the support colourings disagree
     (in ray order), gamma_P on B11 plus that ray and gamma_P' on B7 plus
-    that ray; then the B11/B7 gap pair.  Each is tested once on its own:
-    which of them pair into a cover is for `coverage_check` alone.  The
-    ordering search passes all its candidates' orders to `_threat_pairs`
-    at once."""
-    return _threat_pairs(ctx, [ctx.ordering.ray_at])[0]
+    that ray; then the B11/B7 gap pair.  Each is tested once on its own, in
+    one `Context.norms` call of all ten, for any state and detector: which
+    of them pair into a cover is for `coverage_check` alone.  The ordering
+    search reads its candidates' zeros from `_threat_pairs` instead."""
+    candidates = [*EventArray(*_ray_candidates().T), *_gap_pair(*phi_m_support(), ctx.ordering)]
+    norms = ctx.norms(candidates)
+    return EventArray.of(e for e, x in zip(candidates, norms) if x < ctx.threshold)
 
 
-def _cover(zeros: EventArray, built: EventArray, max_fixed: int) -> CoverageVerdict:
+def _cover(zeros, built, max_fixed: int) -> CoverageVerdict:
     """`coverage_check` of the support on scanned zeros followed by the zero
-    structural candidates."""
-    events = EventArray(np.concatenate([zeros.green, built.green]),
-                        np.concatenate([zeros.red, built.red]))
+    structural candidates, each given as (green, red) mask columns."""
+    events = EventArray(*map(np.concatenate, zip(zeros, built)))
     scope = f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
     return coverage_check(phi_m_support(), events, scope)
 
@@ -696,8 +716,8 @@ def _cover(zeros: EventArray, built: EventArray, max_fixed: int) -> CoverageVerd
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
     """The scan's zeros and the zero structural candidates, as plain zero
     events, then the coverage decision on them all."""
-    scan = scan_zero_events(ctx, max_fixed)
-    return _cover(scan.events, structural_threat_pairs(ctx), max_fixed), scan
+    scan, built = scan_zero_events(ctx, max_fixed), structural_threat_pairs(ctx)
+    return _cover((scan.events.green, scan.events.red), (built.green, built.red), max_fixed), scan
 
 
 # --- the ordering search ---------------------------------------------------------
@@ -781,9 +801,11 @@ def ordering_search(
     A candidate's verdict reads only zero events that hold gamma_P or
     gamma_P', so each candidate is scored from its `_holders` (the scan's
     support holders, in its record order) and its structural zeros, which
-    come from one `_threat_pairs` pass over every candidate's ordering:
-    `coverage_check` then picks the witness `context_coverage` picks.
-    Candidates rank by (covered, support holders, label).
+    one `_threat_pairs` pass gives for every candidate: its ray candidates
+    are support chains, and its gap pair is null exactly.  `coverage_check`
+    then picks the witness `context_coverage` picks at every threshold of
+    at least 1e-15; below that, float zero tests are rounding.  Candidates
+    rank by (covered, support holders, label).
 
     `strategy` accepts only "structural", the one search; the keyword stays
     for the benchmark's callers and goes with the next benchmark change.
@@ -793,7 +815,8 @@ def ordering_search(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     _check_depth(scan_max_fixed)
-    shared = Context(Ordering.default(), maximally_mixed_state(), threshold)  # checks the threshold
+    if not (math.isfinite(threshold) and threshold > 0):  # as `Context` checks it
+        raise ValueError("threshold must be positive and finite")
     rng = np.random.default_rng(seed)
     drawn = []  # (label, ordering): every ordering is drawn before any is scored
     for i in range(budget):
@@ -808,11 +831,11 @@ def ordering_search(
             label = f"random-ord-{i}"
         drawn.append((label, ordering))
     rays = [ordering.ray_at for _, ordering in drawn]
-    built, held = _threat_pairs(shared, rays), _holders(rays, threshold, scan_max_fixed)
+    built, held = _threat_pairs(rays, threshold), _holders(rays, threshold, scan_max_fixed)
     candidates = []
     for (label, ordering), zeros, holders in zip(drawn, built, held):
         verdict = _cover(holders, zeros, scan_max_fixed)
-        candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(holders)))
+        candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(holders[0])))
 
     ranked = sorted(candidates, key=lambda c: (c.verdict.covered, c.support_holders, c.label))
     return SearchReport(

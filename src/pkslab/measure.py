@@ -14,10 +14,7 @@ of the two functionals restricted to the detected ray's colour sectors.
 pairs of events in one numpy pass, building each distinct member once and
 stepping all their chains together with the zero scan's step.  A single
 D(a, b), a measure, a norm or a zero test is a batch of one; callers with
-several events make one call.  `Context.norms_in_orders` runs the same
-member-state pass and functional on events that each carry their own ray
-order: an ordering search tests the structural candidates of all its
-orderings in one such pass.
+several events make one call.
 """
 
 from __future__ import annotations
@@ -181,46 +178,36 @@ class Context:
 
     # -- states ---------------------------------------------------------------
 
-    def _member_states(self, masks: np.ndarray, ray_at=None) -> np.ndarray:
+    def _member_states(self, masks: np.ndarray) -> np.ndarray:
         """States of distinct homogeneous events, given as rows of (green,
         red) masks, shape (len + 1, sectors, 2 terms, 3): each (member,
-        sector) row's chain of fixed projectors stepped with `spin.project`
-        from the terms' unweighted `spin.cartesian_slots`, all-zero slots kept
-        so Re and Im stay paired.  The last row is zero, as is an emptied sector.
-
-        Member i reads its chain in the ray order `ray_at[i]` (one row of 33
-        per member), which also names the ray at this context's detector
-        stage; by default every member takes this context's ordering.  A
-        row's arithmetic never depends on the other rows."""
-        if ray_at is None:
-            ray_at = np.broadcast_to(np.array(self.ordering.ray_at, np.int8), (len(masks), N_RAYS))
-        rays = np.asarray(ray_at, dtype=np.int8)
-        sectors = 1 if self.detector is None else 2
+        sector) row's chain of fixed projectors in this context's ordering, stepped
+        with `spin.project` from the terms' unweighted `spin.cartesian_slots`,
+        all-zero slots kept so Re and Im stay paired.  The last row is zero, as is
+        an emptied sector."""
         green, red = masks[:, 0], masks[:, 1]
         if self.detector is not None:
             # (member, sector) rows, red sector first: the detected bit is added
             # in that colour, and a member fixing the other colour empties it
-            bit = np.int64(1) << rays[:, self.detector - 1]
+            bit = np.int64(1) << self.detected_ray
             green = np.stack([green, green | bit], axis=1).ravel()
             red = np.stack([red | bit, red], axis=1).ravel()
         empty = (green & red) != 0
-        # per row and position, each row read in its member's ray order
-        fixed = (np.where(empty, 0, green | red).reshape(-1, sectors, 1) >> rays[:, None] & 1) == 1
-        fixed = fixed.reshape(len(green), N_RAYS)
+        rays = np.array(self.ordering.ray_at)  # ray at each position
+        fixed = (np.where(empty, 0, green | red)[:, None] >> rays & 1) == 1  # per row and position
         length = fixed.sum(axis=1)
         order = np.argsort(-length, kind="stable")  # longest first: step j acts on a prefix
-        # per row and step j, the position of its j-th fixed ray, that ray, its direction and colour
+        # per row and step j, the position of its j-th fixed ray, that ray's direction and colour
         at = np.argsort(~fixed[order], axis=1, kind="stable")[:, : length.max(initial=0)]
-        ray_of = rays[order[:, None] // sectors, at]
-        u_at = spin.ray_directions()[ray_of]
-        green_at = (green[order, None] >> ray_of & 1) == 1
+        u_at = spin.ray_directions()[rays[at]]
+        green_at = (green[order, None] >> rays[at] & 1) == 1
         slots = spin.cartesian_slots([psi for _, psi in self.state.terms])
         v = np.where(empty[order, None, None], 0.0, slots)
         for j, n in enumerate(len(order) - np.cumsum(np.bincount(length))[:-1]):
             along = spin.project(v[:n], u_at[:n, j, None])
             v[:n] -= along  # red, then green rows take `along` itself
             np.copyto(v[:n], along, where=green_at[:n, j, None, None])
-        out = np.zeros((len(masks) + 1, sectors) + slots.shape)
+        out = np.zeros((len(masks) + 1, 1 if self.detector is None else 2) + slots.shape)
         out[:-1].reshape(-1, *slots.shape)[order] = v
         return out
 
@@ -262,11 +249,6 @@ class Context:
         slots_a = member_slots(a_events)
         slots_b = member_slots(b_events)
         states = self._member_states(np.array(list(index), dtype=np.int64).reshape(-1, 2))
-        return self._functional(states, slots_a, slots_b)
-
-    def _functional(self, states, slots_a: np.ndarray, slots_b: np.ndarray) -> np.ndarray:
-        """D for each pair of columns of member slots (rows of `states`, -1
-        for its zero row), as `decoherences` defines it."""
 
         def union_states(slots: np.ndarray) -> np.ndarray:
             # a partial sum from +0 is never -0, so adding a zero row leaves
@@ -277,7 +259,7 @@ class Context:
             return out
 
         n_terms = len(self.state.terms)
-        dots = np.empty((slots_a.shape[1], states.shape[1], n_terms), dtype=complex)
+        dots = np.empty((len(a_events), states.shape[1], n_terms), dtype=complex)
         for lo in range(0, len(dots), _PASS_ROWS):
             cut = slice(lo, lo + _PASS_ROWS)
             sa = union_states(slots_a[:, cut])
@@ -305,15 +287,6 @@ class Context:
     def norms(self, events) -> list[float]:
         """`norm` of each event, from one `decoherences` call."""
         return [_norm(d.real) for d in self.decoherences(events, events).tolist()]
-
-    def norms_in_orders(self, masks: np.ndarray, ray_at: np.ndarray) -> list[float]:
-        """The norm of each homogeneous event given as a (green, red) mask
-        row, row i read in the ray order `ray_at[i]` under this context's
-        state and detector stage, from one member-state pass: to the bit,
-        `norms` of that event in the context with that ordering."""
-        rows = np.arange(len(masks))[None]
-        return [_norm(d.real) for d in self._functional(
-            self._member_states(masks, ray_at), rows, rows).tolist()]
 
     def is_zero(self, a) -> bool:
         return self.norm(a) < self.threshold

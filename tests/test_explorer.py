@@ -1009,9 +1009,10 @@ def test_holders_are_the_scans_support_holders(rng):
             scan = scan_zero_events(Context(ordering, maximally_mixed_state(), 0.3), depth)
             for j, (threshold, holders) in enumerate(held.items()):
                 green, red = _scan_holders(scan, scan.norm < threshold)
-                assert holders[i].green.tobytes() == green.tobytes(), (depth, i, threshold)
-                assert holders[i].red.tobytes() == red.tobytes(), (depth, i, threshold)
-                fixed = (green | red)[holders[i].holds(gp) & holders[i].holds(gpp)]
+                assert holders[i][0].tobytes() == green.tobytes(), (depth, i, threshold)
+                assert holders[i][1].tobytes() == red.tobytes(), (depth, i, threshold)
+                events = EventArray(*holders[i])
+                fixed = (green | red)[events.holds(gp) & events.holds(gpp)]
                 np.add.at(both[:, j], (fixed[:, None] >> np.arange(N_RAYS) & 1).sum(axis=1), 1)
     assert both[3, 2] and both[4, 2]  # at 0.3 some holders hold both, at k = 3 and at k = 4
 
@@ -1073,8 +1074,8 @@ def test_the_depth4_survivor_has_no_cover():
     assert not verdict.covered and verdict.witness is None
     green, red = _scan_holders(scan)
     assert (len(scan), len(green)) == (88395, 218)
-    [holders] = explorer._holders([ctx.ordering.ray_at], ctx.threshold, 4)
-    assert holders.green.tobytes() == green.tobytes() and holders.red.tobytes() == red.tobytes()
+    [(held_green, held_red)] = explorer._holders([ctx.ordering.ray_at], ctx.threshold, 4)
+    assert held_green.tobytes() == green.tobytes() and held_red.tobytes() == red.tobytes()
 
 
 def _reference_gap_event(c, basis_indices, ordering):
@@ -1108,24 +1109,72 @@ def _reference_threats(ctx):
 
 
 def test_structural_candidates_of_a_chunk_equal_the_per_context_norms(rng):
-    """One member-state pass reads each ordering's candidates in that
-    ordering: gap events equal the ray-by-ray construction, every norm
-    equals `Context.norms` of that ordering's context to the bit, and the
-    zeros are the candidates below the threshold, in order."""
+    """Gap events equal the ray-by-ray construction, and the zeros of each
+    context are its candidates that `Context.norms` puts below the
+    threshold, in order, for pure, mixed, detected and maximally mixed
+    contexts.  The search's pass over many orderings at once keeps the same
+    zeros under the maximally mixed state at thresholds 1e-10, 0.1 and 0.3."""
+    gp, gpp = phi_m_support()
+    orderings = [random_ordering(rng) for _ in range(4)]
+    orderings.append(Ordering.default().with_ray_last(ray_index("021")))
     for state, detector in ((maximally_mixed_state(), None), (random_mixed_state(rng, 3), 12),
                             (random_pure_state(rng), 1)):
-        contexts = [Context(random_ordering(rng), state, 0.1, detector) for _ in range(4)]
-        contexts.append(Context(Ordering.default().with_ray_last(ray_index("021")), state, 0.1,
-                                detector))
-        gp, gpp = phi_m_support()
-        rays = [ctx.ordering.ray_at for ctx in contexts]
-        for ctx, built in zip(contexts, explorer._threat_pairs(contexts[0], rays)):
-            candidates, norms, zeros = _reference_threats(ctx)
-            assert explorer._gap_pair(gp, gpp, ctx.ordering) == tuple(candidates[-2:])
-            masks = np.array([(e.green_mask, e.red_mask) for e in candidates], dtype=np.int64)
-            rays = np.repeat([ctx.ordering.ray_at], len(candidates), axis=0)
-            assert np.array(ctx.norms_in_orders(masks, rays)).tobytes() == np.array(norms).tobytes()
-            assert list(built) == zeros
+        for ordering in orderings:
+            ctx = Context(ordering, state, 0.1, detector)
+            candidates, _, zeros = _reference_threats(ctx)
+            assert explorer._gap_pair(gp, gpp, ordering) == tuple(candidates[-2:])
+            assert list(structural_threat_pairs(ctx)) == zeros
+    rays = [o.ray_at for o in orderings]
+    for threshold in (DEFAULT_THRESHOLD, 0.1, 0.3):
+        for ordering, built in zip(orderings, explorer._threat_pairs(rays, threshold)):
+            _, _, zeros = _reference_threats(Context(ordering, maximally_mixed_state(), threshold))
+            assert list(EventArray(*built)) == zeros, threshold
+
+
+def test_the_gap_pair_is_null_by_the_basis_rule(rng):
+    """The search keeps the gap pair without a norm, on exact premises: B11
+    and B7 are orthogonal triples, gamma_P is red on all of B11 and gamma_P'
+    on all of B7, and in the probe, two separating and 120 random orderings
+    the gap events fix every basis ray and no other ray strictly between the
+    basis stages, so three red projectors of one orthonormal basis are
+    adjacent.  The float test agrees at every threshold of at least 1e-15:
+    `structural_threat_pairs` keeps the pair there under the maximally
+    mixed state."""
+    gp, gpp = phi_m_support()
+    orderings = list(_holder_orderings(rng, 120))
+    rays = [o.ray_at for o in orderings]
+    gaps = []
+    for c, name in ((gp, 11), (gpp, 7)):
+        basis = explorer._chain_basis(name)
+        assert all(are_orthogonal(PERES_RAYS[a], PERES_RAYS[b])
+                   for a, b in itertools.combinations(basis, 2))
+        assert not any(c.is_green(i) for i in basis)
+        gaps.append(explorer._gap_masks(c, basis, rays))
+        for ordering, (green, red) in zip(orderings, gaps[-1]):
+            stage = ordering.positions()[list(basis)]
+            assert all(int(red) >> i & 1 for i in basis)
+            assert not any(int(green | red) >> r & 1 for p, r in enumerate(ordering.ray_at)
+                           if stage.min() < p < stage.max() and r not in basis)
+    for i, (green, red) in enumerate(explorer._threat_pairs(rays, 1e-300)):
+        assert green[-2:].tolist() == [gaps[0][i, 0], gaps[1][i, 0]]
+        assert red[-2:].tolist() == [gaps[0][i, 1], gaps[1][i, 1]]
+    for ordering in orderings:
+        built = structural_threat_pairs(Context(ordering, maximally_mixed_state(), 1e-15))
+        assert tuple(built[len(built) - 2:]) == explorer._gap_pair(gp, gpp, ordering)
+
+
+def test_sub_noise_thresholds_keep_the_exact_gap_pair():
+    """At 1e-17, below float rounding, the float norms of the 021-last
+    probe's gap pair are not below the threshold, but the pair is null
+    exactly: the search still reports the probe covered, and its witness
+    starts with the B11 gap event."""
+    gp, gpp = phi_m_support()
+    probe = Ordering.default().with_ray_last(ray_index("021"))
+    assert max(Context(probe, maximally_mixed_state()).norms(
+        explorer._gap_pair(gp, gpp, probe))) >= 1e-17
+    [candidate] = ordering_search(1, scan_max_fixed=1, threshold=1e-17).candidates
+    assert candidate.label == "probe-021-last" and candidate.verdict.covered
+    assert candidate.verdict.witness[0] == explorer._gap_pair(gp, gpp, probe)[0]
 
 
 def _reference_search(budget, seed, scan_max_fixed, threshold):
@@ -1165,18 +1214,21 @@ def test_chunked_search_equals_the_per_candidate_loop(scan_max_fixed):
 
 def test_a_search_never_scans_and_makes_one_structural_pass(monkeypatch):
     """The search reads holders, never the full scan, and its structural
-    candidates go through one member-state pass for every candidate."""
+    candidates go through one `_threat_pairs` pass for every candidate,
+    which takes no member states and no value of the functional."""
     passes = []
     threat_pairs = explorer._threat_pairs
 
     def no_scan(*_):
-        raise AssertionError("the search ran the full scan")
+        raise AssertionError("the search ran the full scan or the functional")
 
-    def counting_threats(ctx, ray_at):
+    def counting_threats(ray_at, threshold):
         passes.append(len(ray_at))
-        return threat_pairs(ctx, ray_at)
+        return threat_pairs(ray_at, threshold)
 
     monkeypatch.setattr(explorer, "_zero_rows", no_scan)
+    monkeypatch.setattr(Context, "_member_states", no_scan)
+    monkeypatch.setattr(Context, "decoherences", no_scan)
     monkeypatch.setattr(explorer, "_threat_pairs", counting_threats)
     for depth, budget in ((1, 7), (2, 7), (3, 4), (4, 2)):
         passes.clear()

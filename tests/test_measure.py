@@ -299,25 +299,6 @@ def test_each_event_lists_its_members_once(monkeypatch, rng):
         assert asked == a_events + b_events
 
 
-
-def test_norms_in_orders_equal_each_contexts_norms(rng):
-    """One member-state pass over events each read in its own ordering gives
-    every event's norm in the context with that ordering, to the bit, with
-    or without a detector (whose ray each ordering places)."""
-    for state, detector in ((random_mixed_state(rng, terms=3), None),
-                            (random_pure_state(rng), 7), (InitialState.default(), N_RAYS)):
-        orderings = [random_ordering(rng) for _ in range(4)]
-        events = [[HomogeneousEvent.everything()]
-                  + [random_homogeneous_event(rng, max_fixed=29) for _ in range(6)]
-                  for _ in orderings]
-        masks = np.array([(e.green_mask, e.red_mask) for evs in events for e in evs])
-        rays = np.repeat([o.ray_at for o in orderings], len(events[0]), axis=0)
-        got = Context(orderings[0], state, detector=detector).norms_in_orders(masks, rays)
-        want = [n for o, evs in zip(orderings, events)
-                for n in Context(o, state, detector=detector).norms(evs)]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
 def _dot(x, y):
     """x.y for two 3-vectors, the products summed as numpy's einsum sums
     three: the first and the third, then the second."""
@@ -605,10 +586,9 @@ def test_sum_rule_thousand_triples_default_context(default_ctx):
 def test_one_evaluation_route(monkeypatch):
     """Every value of the functional comes from `_member_states`: the single
     views make one member build each through `decoherences`,
-    `structural_threat_pairs` makes one member build of its ten candidates
-    (through `norms_in_orders`, without `decoherences`) and
-    `last_ray_021_construction` one `decoherences` call, in a plain, a
-    detected and a maximally mixed context.  The structural zeros are the
+    `structural_threat_pairs` makes one `decoherences` call of its ten
+    candidates and `last_ray_021_construction` one of its two events, in a
+    plain, a detected and a maximally mixed context.  The structural zeros are the
     ten candidates whose reference norm falls below the threshold."""
     from pkslab.explorer import (
         last_ray_021_construction,
@@ -619,9 +599,9 @@ def test_one_evaluation_route(monkeypatch):
     built, batches = [], []
     member_states, decoherences = Context._member_states, Context.decoherences
 
-    def recording_members(self, masks, ray_at=None):
+    def recording_members(self, masks):
         built.append(masks)
-        return member_states(self, masks, ray_at)
+        return member_states(self, masks)
 
     def recording_batches(self, a_events, b_events):
         batches.append(list(a_events))
@@ -648,7 +628,7 @@ def test_one_evaluation_route(monkeypatch):
             assert len(batches) == 1 and len(built) == 1
         del built[:], batches[:]
         zeros = structural_threat_pairs(ctx)
-        assert not batches and len(built) == 1
+        assert len(batches) == 1 and len(built) == 1
         candidates = [HomogeneousEvent(int(g), int(r)) for g, r in built[0]]
         assert len(candidates) == 10
         expect = [
