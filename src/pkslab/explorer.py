@@ -9,10 +9,12 @@ search's gap pair, which is null exactly (see `_threat_pairs`).  A "not
 covered" verdict is always qualified by the scan scope, since only
 homogeneous events with a bounded number of fixed rays and a few
 structural constructions are examined.
-The constructions enter as plain zero events, so `coverage_check` is the
-one place where events are paired.  Whether some ordering and state make
-the co-event preclusive outright is an open question this module collects
-evidence on, not a theorem it can decide.
+The constructions enter as plain zero events, so `_segment_coverage` is
+the one place where events are paired: `coverage_check` is its
+one-segment case, and the ordering search decides all its candidates in
+one call.  Whether some ordering and state make the co-event preclusive
+outright is an open question this module collects evidence on, not a
+theorem it can decide.
 """
 
 from __future__ import annotations
@@ -408,9 +410,9 @@ def _table_keys(at: np.ndarray) -> np.ndarray:
     return at @ N_RAYS ** np.arange(at.shape[-1] - 1, -1, -1)
 
 
-def _stepped_holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Green and red masks, in record order, of one ray order's holders with
-    `_TABLE_FIXED` < k <= `max_fixed` fixed rays.
+def _stepped_holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
+    """Number of fixed rays, green and red masks of one ray order's holders
+    with `_TABLE_FIXED` < k <= `max_fixed` fixed rays, unsorted.
 
     The level-`_TABLE_FIXED` table states of its increasing subsets, gamma_P
     at every subset and gamma_P' at those fixing a disagreement ray, are
@@ -451,15 +453,14 @@ def _stepped_holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarr
         if level:
             last, fixed, bits, state = (np.concatenate(c) for c in zip(*level))
     n_fixed, fixed, bits = (np.concatenate(c) for c in zip(*zeros))
-    green, red = fixed & bits, fixed & ~bits
-    order = np.lexsort((red, green, n_fixed))
-    return green[order], red[order]
+    return n_fixed, fixed & bits, fixed & ~bits
 
 
-def _holders(ray_at, threshold: float, max_fixed: int) -> list[tuple]:
-    """For each ray order row of `ray_at` (n, 33), the (green, red) mask
-    columns of the events of its `scan_zero_events` under the maximally mixed state, without a detector,
-    that hold gamma_P or gamma_P', in the scan's record order.
+def _holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
+    """The (ray order row, green, red) columns of the events that hold
+    gamma_P or gamma_P' in the `scan_zero_events` of each ray order row of
+    `ray_at` (n, 33) under the maximally mixed state, without a detector:
+    by row, and within a row in the scan's record order.
 
     A holder of a colouring fixes each of its rays at the colouring's colour,
     so its chain is one of the scan's chains with the colouring's child at
@@ -469,13 +470,19 @@ def _holders(ray_at, threshold: float, max_fixed: int) -> list[tuple]:
     `_TABLE_FIXED` fixed rays are read from `_holder_table` for all rows at
     once: a row's holders with k fixed rays are the table rows of its
     increasing k-subsets of positions, keyed by the rays at them, whose
-    norms fall below `threshold`.  Deeper ones are `_stepped_holders`."""
+    norms fall below `threshold`.  A level whose whole table is at or above
+    the threshold holds no zero for any ordering and is skipped (at 1e-10,
+    levels 1 and 2).  Deeper holders are `_stepped_holders`, one row at a
+    time."""
     gp, gpp = phi_m_support()
     disagree, bits = gp.bits ^ gpp.bits, np.array([gp.bits, gpp.bits])
     rays = np.asarray(ray_at, dtype=np.int8).reshape(-1, N_RAYS)
-    levels = []  # per level: row of ray_at, n_fixed, green, red of holders
+    none = np.zeros(0, np.int64)
+    levels = [(none, none.astype(np.int8), none, none)]  # row, n_fixed, green, red of holders
     for k in range(1, min(max_fixed, _TABLE_FIXED) + 1):
         norm = _holder_table(k)  # built before the level's gather is held
+        if norm.min() >= threshold:
+            continue
         at = rays[:, _subsets(k)]  # (rows, subsets, k)
         fixed = np.bitwise_or.reduce(np.int64(1) << at, axis=2)
         zero = norm[:, _table_keys(at)] < threshold
@@ -483,18 +490,13 @@ def _holders(ray_at, threshold: float, max_fixed: int) -> list[tuple]:
         colouring, row, s = np.nonzero(zero)
         f, b = fixed[row, s], bits[colouring]
         levels.append((row, np.full(row.size, k, np.int8), f & b, f & ~b))
+    if max_fixed > _TABLE_FIXED:
+        for i, r in enumerate(rays):
+            n_fixed, green, red = _stepped_holders(r, threshold, max_fixed)
+            levels.append((np.full(n_fixed.size, i), n_fixed, green, red))
     row, n_fixed, green, red = (np.concatenate(c) for c in zip(*levels))
     order = np.lexsort((red, green, n_fixed, row))
-    split = np.cumsum(np.bincount(row, minlength=len(rays)))[:-1]
-    greens, reds = np.split(green[order], split), np.split(red[order], split)
-    held = []
-    for i in range(len(rays)):
-        g, r = greens[i], reds[i]
-        if max_fixed > _TABLE_FIXED:
-            deeper = _stepped_holders(rays[i], threshold, max_fixed)
-            g, r = np.concatenate([g, deeper[0]]), np.concatenate([r, deeper[1]])
-        held.append((g, r))
-    return held
+    return row[order], green[order], red[order]
 
 
 def provenance_counts(scan: ZeroScan) -> dict[str, int]:
@@ -541,25 +543,59 @@ def coverage_check(
     disjoint from a holder of the first exactly when the first's fixed
     rays in D meet the union of the second's: the witness is the first
     such holder, paired with the first holder of the second colouring it
-    meets, as in a nested loop over both holder lists.
+    meets, as in a nested loop over both holder lists.  The decision is
+    `_segment_coverage` with one segment.
     """
+    events = EventArray.of(zero_events)
+    return _segment_coverage(support, events, [0, len(events)], scope)[0]
+
+
+def _segment_coverage(
+    support: tuple[Colouring, ...], events: EventArray, bounds, scope: str
+) -> list[CoverageVerdict]:
+    """`coverage_check` of the support on each segment
+    events[bounds[s]:bounds[s + 1]] (`bounds` rises from 0 to len(events)),
+    decided on the mask columns of all segments at once.
+
+    Each colouring's `holds` column is taken once.  A segment's witness is
+    its first row holding every colouring; failing that, its first holder
+    of the first colouring whose disagreement rays meet the union (one
+    `bitwise_or.at` for all segments) of the segment's holders of the
+    second, paired with the first of those it meets.  Each first is a
+    `searchsorted` of the segment starts into the increasing rows that
+    qualify, so every segment gets the witness `coverage_check` gives it
+    alone."""
     if len(support) > 2:
         raise ValueError("coverage search implemented for supports of size <= 2")
-    events = EventArray.of(zero_events)
+    bounds = np.asarray(bounds)
+    start, end = bounds[:-1], bounds[1:]
+
+    def first(rows):
+        """Per segment, the first of the increasing `rows` in it, or -1."""
+        at = np.concatenate([rows, [len(events)]])[rows.searchsorted(start)]
+        at[at >= end] = -1
+        return at
+
     held = [events.holds(c) for c in support]
-    both = np.flatnonzero(np.logical_and.reduce(held))
-    if both.size:
-        return CoverageVerdict("covered", (events[both[0]],), scope)
-    if len(support) == 2:
+    one = first(np.flatnonzero(np.logical_and.reduce(held)))  # single-event witnesses
+    two = np.full((2, start.size), -1)  # pair witnesses
+    if len(support) == 2 and (one < 0).any():
         disagree = support[0].bits ^ support[1].bits
-        fixed = (events.green | events.red) & disagree
-        rows0, rows1 = np.flatnonzero(held[0]), np.flatnonzero(held[1])
-        meets = np.flatnonzero(fixed[rows0] & np.bitwise_or.reduce(fixed[rows1]))
-        if meets.size:
-            i = rows0[meets[0]]
-            j = rows1[np.flatnonzero(fixed[rows1] & fixed[i])[0]]
-            return CoverageVerdict("covered", (events[i], events[j]), scope)
-    return CoverageVerdict("not-covered-within-scope", None, scope)
+        rows = [np.flatnonzero(h) for h in held]
+        fixed = [(events.green[r] | events.red[r]) & disagree for r in rows]
+        segment = [np.searchsorted(end, r, "right") for r in rows]
+        union = np.zeros(start.size, np.int64)
+        np.bitwise_or.at(union, segment[1], fixed[1])
+        two[0] = first(rows[0][(fixed[0] & union[segment[0]]) != 0])
+        met, found = np.zeros(start.size, np.int64), two[0] >= 0
+        met[found] = (events.green[two[0, found]] | events.red[two[0, found]]) & disagree
+        two[1] = first(rows[1][(fixed[1] & met[segment[1]]) != 0])
+    verdicts = []
+    for i, j, k in zip(one.tolist(), *two.tolist()):
+        witness = (events[i],) if i >= 0 else (events[j], events[k]) if j >= 0 else None
+        status = "covered" if witness else "not-covered-within-scope"
+        verdicts.append(CoverageVerdict(status, witness, scope))
+    return verdicts
 
 
 def pks_only_coverage(support: tuple[Colouring, ...]) -> CoverageVerdict:
@@ -661,35 +697,74 @@ def _ray_candidates() -> np.ndarray:
     return _column([(e.green_mask, e.red_mask) for e in events], np.int64)
 
 
-def _threat_pairs(ray_at, threshold: float) -> list[tuple]:
-    """For each ray order row of `ray_at` (n, 33), the (green, red) mask
-    columns of `structural_threat_pairs` under the maximally mixed state,
-    without a detector, at `threshold`.
+# The place values of a relative stage order of four rays, read as base-4
+# digits: its `_ray_candidate_table` key.
+_ORDER_DIGITS = (64, 16, 4, 1)
 
-    A ray candidate is a support chain: as in `_holder_states`, its
-    colouring's colour is stepped over its fixed rays in stage order with
-    `_Chains.branch` under `Ordering.default()`.  The gap pair is kept with
-    no norm taken: the rays between the first and last basis stages are
-    free and sum to I, so gamma_P's three red B11 projectors (gamma_P''s
-    red B7 ones) become adjacent, and the product of the three red
-    projectors of an orthonormal basis is exactly 0."""
-    gp, gpp = phi_m_support()
-    rays = np.asarray(ray_at, dtype=np.intp).reshape(-1, N_RAYS)
+
+@lru_cache(maxsize=1)
+def _ray_candidate_table() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed rays (8, 4) of each `_ray_candidates` row in ray order, and
+    the norms (8, 4**4) of its support chain under the maximally mixed
+    state, without a detector, in every relative stage order of those rays;
+    built on first use.
+
+    A candidate on three rays gets a fourth at position N_RAYS, after every
+    stage and never stepped.  A stage order is keyed by the argsort of the
+    rays' positions read as base-4 digits, most significant first; keys
+    that are no stage order hold NaN.  As in `_holder_states`, a chain steps
+    its colouring's colour over its fixed rays in stage order with
+    `_Chains.branch` under `Ordering.default()`, so its norm depends on the
+    order of those rays alone."""
     shared = _ray_candidates()
-    # per ordering and candidate, its rays in stage order, fixed ones first
-    on = ((shared[:, 0] | shared[:, 1])[:, None] >> rays[:, None] & 1).astype(bool)
-    at = np.take_along_axis(rays[:, None], np.argsort(~on, axis=2, kind="stable"), axis=2)
-    at, length = at.reshape(-1, N_RAYS), on.sum(axis=2).ravel()
-    green_at = (np.tile(shared[:, 0], len(rays))[:, None] >> at & 1).astype(bool)
+    fixed = np.full((len(shared), 4), N_RAYS)
+    row, order = [], []  # per chain: candidate, columns of its rays in stage order
+    for c, (green, red) in enumerate(shared.tolist()):
+        rays = [w for w in range(N_RAYS) if (green | red) >> w & 1]
+        fixed[c, :len(rays)] = rays
+        for o in itertools.permutations(range(len(rays))):
+            row.append(c)
+            order.append(o + tuple(range(len(rays), 4)))
+    row, order = np.array(row), np.array(order)
+    at = fixed[row[:, None], order]
+    length, green_at = (at < N_RAYS).sum(axis=1), (shared[row, :1] >> at & 1).astype(bool)
     chains = _Chains(Context(Ordering.default(), maximally_mixed_state()))
     state = np.repeat(chains.state, len(at), axis=0)
-    for j in range(length.max(initial=0)):
+    for j in range(4):
         rows = np.flatnonzero(length > j)
         child = chains.branch(state[rows], None, at[rows, j])
         state[rows] = child[rows.size * green_at[rows, j] + np.arange(rows.size)]
-    zero = (_norms(state) < threshold).reshape(on.shape[:2])
-    gap11, gap7 = _gap_masks(gp, _chain_basis(11), rays), _gap_masks(gpp, _chain_basis(7), rays)
-    return [tuple(np.vstack([shared[z], a, b]).T) for z, a, b in zip(zero, gap11, gap7)]
+    table = np.full((len(shared), 4**4), np.nan)
+    table[row, order @ _ORDER_DIGITS] = _norms(state)
+    return _column(fixed, np.intp), _column(table, np.float64)
+
+
+def _threat_pairs(ray_at, threshold: float) -> tuple[np.ndarray, ...]:
+    """The (ray order row, green, red) columns of `structural_threat_pairs`
+    under the maximally mixed state, without a detector, at `threshold`, for
+    each ray order row of `ray_at` (n, 33): by row, and within a row in
+    candidate order.
+
+    A ray candidate is a support chain on its 3-4 fixed rays, so its norm is
+    read from `_ray_candidate_table` at the relative stage order of those
+    rays; no chain is stepped per call.  The gap pair is kept with no norm
+    taken: the rays between the first and last basis stages are free and
+    sum to I, so gamma_P's three red B11 projectors (gamma_P''s red B7 ones)
+    become adjacent, and the product of the three red projectors of an
+    orthonormal basis is exactly 0."""
+    gp, gpp = phi_m_support()
+    rays = np.asarray(ray_at, dtype=np.intp).reshape(-1, N_RAYS)
+    shared, (fixed, table) = _ray_candidates(), _ray_candidate_table()
+    # each ray's position, then N_RAYS for a three-ray candidate's fourth
+    pos = np.append(np.argsort(rays, axis=1), np.full((len(rays), 1), N_RAYS), axis=1)
+    key = np.argsort(pos[:, fixed], axis=2) @ _ORDER_DIGITS
+    gaps = [_gap_masks(gp, _chain_basis(11), rays), _gap_masks(gpp, _chain_basis(7), rays)]
+    masks = np.concatenate([np.broadcast_to(shared, (len(rays), *shared.shape)),
+                            np.stack(gaps, axis=1)], axis=1)  # (rows, candidates, colour)
+    zero = np.ones(masks.shape[:2], dtype=bool)
+    zero[:, :len(shared)] = table[np.arange(len(shared)), key] < threshold
+    row, c = np.nonzero(zero)
+    return row, masks[row, c, 0], masks[row, c, 1]
 
 
 def structural_threat_pairs(ctx: Context) -> EventArray:
@@ -705,19 +780,17 @@ def structural_threat_pairs(ctx: Context) -> EventArray:
     return EventArray.of(e for e, x in zip(candidates, norms) if x < ctx.threshold)
 
 
-def _cover(zeros, built, max_fixed: int) -> CoverageVerdict:
-    """`coverage_check` of the support on scanned zeros followed by the zero
-    structural candidates, each given as (green, red) mask columns."""
-    events = EventArray(*map(np.concatenate, zip(zeros, built)))
-    scope = f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
-    return coverage_check(phi_m_support(), events, scope)
+def _scope(max_fixed: int) -> str:
+    return f"homogeneous events with <= {max_fixed} fixed rays plus structural constructions"
 
 
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
     """The scan's zeros and the zero structural candidates, as plain zero
     events, then the coverage decision on them all."""
     scan, built = scan_zero_events(ctx, max_fixed), structural_threat_pairs(ctx)
-    return _cover((scan.events.green, scan.events.red), (built.green, built.red), max_fixed), scan
+    events = EventArray(np.concatenate([scan.events.green, built.green]),
+                        np.concatenate([scan.events.red, built.red]))
+    return coverage_check(phi_m_support(), events, _scope(max_fixed)), scan
 
 
 # --- the ordering search ---------------------------------------------------------
@@ -755,28 +828,28 @@ def maximally_mixed_state() -> InitialState:
     return InitialState([(1 / 3, [1, 0, 0]), (1 / 3, [0, 1, 0]), (1 / 3, [0, 0, 1])])
 
 
+@lru_cache(maxsize=1)
+def _separating_template() -> tuple:
+    """The rays `_separating_ordering` places, each group in ray order: B11
+    less 021, B7, 021, and the rest."""
+    i021 = ray_index("021")
+    b11 = tuple(i for i in _chain_basis(11) if i != i021)  # 021 sits inside the B7 span
+    b7 = _chain_basis(7)
+    rest = tuple(i for i in range(N_RAYS) if i not in {*b11, *b7, i021})
+    return b11, b7, i021, rest
+
+
 def _separating_ordering(rng) -> Ordering:
     """Heuristic placement: spread the B11 stages across the whole chain and
     tuck the B7 stages just inside, so the rays where the support colourings
     disagree fall strictly between both basis spans."""
-    b11 = list(_chain_basis(11))
-    b7 = list(_chain_basis(7))
-    i021 = ray_index("021")
-    b11.remove(i021)  # 021 must sit inside the B7 span, not at an end
-    rest = [i for i in range(N_RAYS) if i not in set(b11) | set(b7) | {i021}]
+    b11, b7, i021, rest = _separating_template()
+    rest = list(rest)
     rng.shuffle(rest)
     middle = rest[:-4]
     mid = len(middle) // 2
-    chain = (
-        [b11[0], b7[0]]
-        + middle[:mid]
-        + [i021, b7[1]]
-        + middle[mid:]
-        + [b7[2], b11[1]]
-        + rest[-4:]
-    )
-    assert sorted(chain) == list(range(N_RAYS))
-    return Ordering(tuple(chain))
+    return Ordering((b11[0], b7[0], *middle[:mid], i021, b7[1], *middle[mid:],
+                     b7[2], b11[1], *rest[-4:]))
 
 
 def ordering_search(
@@ -802,10 +875,13 @@ def ordering_search(
     gamma_P', so each candidate is scored from its `_holders` (the scan's
     support holders, in its record order) and its structural zeros, which
     one `_threat_pairs` pass gives for every candidate: its ray candidates
-    are support chains, and its gap pair is null exactly.  `coverage_check`
-    then picks the witness `context_coverage` picks at every threshold of
-    at least 1e-15; below that, float zero tests are rounding.  Candidates
-    rank by (covered, support holders, label).
+    are support chains read from a table by the relative order of their
+    rays, and its gap pair is null exactly.  Both come as flat columns
+    keyed by candidate, and one `_segment_coverage` call decides every
+    candidate on its own segment (its holders, then its structural zeros),
+    picking the witness `context_coverage` picks at every threshold of at
+    least 1e-15; below that, float zero tests are rounding.  Candidates rank
+    by (covered, support holders, label).
 
     `strategy` accepts only "structural", the one search; the keyword stays
     for the benchmark's callers and goes with the next benchmark change.
@@ -821,21 +897,27 @@ def ordering_search(
     drawn = []  # (label, ordering): every ordering is drawn before any is scored
     for i in range(budget):
         if i == 0:
-            ordering = Ordering.default().with_ray_last(ray_index("021"))
+            ordering = Ordering.default().with_ray_last(_separating_template()[2])
             label = "probe-021-last"
         elif i % 3 == 0:
             ordering = _separating_ordering(rng)
             label = f"separating-{i}"
         else:
-            ordering = Ordering(tuple(int(x) for x in rng.permutation(N_RAYS)))
+            ordering = Ordering(tuple(rng.permutation(N_RAYS).tolist()))
             label = f"random-ord-{i}"
         drawn.append((label, ordering))
-    rays = [ordering.ray_at for _, ordering in drawn]
-    built, held = _threat_pairs(rays, threshold), _holders(rays, threshold, scan_max_fixed)
-    candidates = []
-    for (label, ordering), zeros, holders in zip(drawn, built, held):
-        verdict = _cover(holders, zeros, scan_max_fixed)
-        candidates.append(SearchCandidate(label, ordering, threshold, verdict, len(holders[0])))
+    rays = np.array([ordering.ray_at for _, ordering in drawn], dtype=np.intp).reshape(-1, N_RAYS)
+    held_row, *held = _holders(rays, threshold, scan_max_fixed)
+    built_row, *built = _threat_pairs(rays, threshold)
+    # each candidate's segment: its holders, then its structural zeros
+    row = np.concatenate([held_row, built_row])
+    order = np.argsort(row, kind="stable")
+    events = EventArray(*(np.concatenate(c)[order] for c in zip(held, built)))
+    bounds = np.searchsorted(row[order], np.arange(budget + 1))
+    verdicts = _segment_coverage(phi_m_support(), events, bounds, _scope(scan_max_fixed))
+    holders = np.bincount(held_row, minlength=budget).tolist()
+    candidates = [SearchCandidate(label, ordering, threshold, verdict, n)
+                  for (label, ordering), verdict, n in zip(drawn, verdicts, holders)]
 
     ranked = sorted(candidates, key=lambda c: (c.verdict.covered, c.support_holders, c.label))
     return SearchReport(

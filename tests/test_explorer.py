@@ -943,6 +943,45 @@ def test_coverage_witness_order_matches_reference(rng):
     assert kinds == {0, 1, 2}
 
 
+def _coverage_segment(rng, kind):
+    """A segment's events: none, events holding neither support colouring,
+    events holding gamma_P' alone, or many holders of each colouring."""
+    gp, gpp = phi_m_support()
+    if kind == "empty":
+        return []
+    if kind == "no-holders":
+        events = (random_homogeneous_event(rng, max_fixed=5) for _ in range(40))
+        return [e for e in events if not (e.contains(gp) or e.contains(gpp))][:6]
+    if kind == "gamma-P'-only":
+        disagree = [i for i in range(N_RAYS) if gp.is_green(i) != gpp.is_green(i)]
+        rays = ({int(rng.choice(disagree)), *rng.choice(N_RAYS, size=2)} for _ in range(4))
+        return [HomogeneousEvent.agreeing_with(gpp, {int(x) for x in r}) for r in rays]
+    return _support_holder_events(rng, int(rng.integers(1, 10)))
+
+
+def test_segmented_coverage_is_coverage_check_per_segment(rng):
+    """Over 240 random segmentations, each segment's verdict from one
+    `_segment_coverage` call is `coverage_check` of that segment alone,
+    witness included, and the pair-loop reference's: with empty segments,
+    segments with no holders or only gamma_P' holders, single-event and
+    pair witnesses and no cover all occurring."""
+    support = phi_m_support()
+    kinds = ("empty", "no-holders", "gamma-P'-only", "holders")
+    seen = set()
+    for _ in range(240):
+        segments = [_coverage_segment(rng, kinds[k]) for k in rng.integers(4, size=rng.integers(7))]
+        events = EventArray.of(e for seg in segments for e in seg)
+        bounds = np.cumsum([0] + [len(seg) for seg in segments])
+        verdicts = explorer._segment_coverage(support, events, bounds, "seg")
+        assert len(verdicts) == len(segments)
+        for seg, verdict in zip(segments, verdicts):
+            assert verdict == coverage_check(support, seg, "seg")
+            assert verdict == reference_coverage(support, seg, "seg")
+            seen.add(("one", "pair")[len(verdict.witness) - 1] if verdict.covered
+                     else "uncovered" if seg else "empty")
+    assert seen == {"empty", "uncovered", "one", "pair"}
+
+
 def test_coverage_empty_and_preclusion_family():
     support = phi_m_support()
     assert coverage_check(support, [], "e") == reference_coverage(support, [], "e")
@@ -982,6 +1021,14 @@ def _scan_holders(scan, rows=True):
     return scan.events.green[held], scan.events.red[held]
 
 
+def _per_row(columns, n):
+    """Flat (ray order row, green, red) columns, sorted by row, as each of
+    the `n` rows' (green, red) columns."""
+    row, green, red = columns
+    assert (np.diff(row) >= 0).all()
+    return [(green[row == i], red[row == i]) for i in range(n)]
+
+
 def _holder_orderings(rng, n_random):
     """The probe ordering, two separating orderings and `n_random` random ones."""
     yield Ordering.default().with_ray_last(ray_index("021"))
@@ -1004,7 +1051,8 @@ def test_holders_are_the_scans_support_holders(rng):
     for depth, n_random in ((3, 100), (4, 2)):
         orderings = list(_holder_orderings(rng, n_random))
         rays = [o.ray_at for o in orderings]
-        held = {t: explorer._holders(rays, t, depth) for t in (DEFAULT_THRESHOLD, 0.1, 0.3)}
+        held = {t: _per_row(explorer._holders(rays, t, depth), len(rays))
+                for t in (DEFAULT_THRESHOLD, 0.1, 0.3)}
         for i, ordering in enumerate(orderings):
             scan = scan_zero_events(Context(ordering, maximally_mixed_state(), 0.3), depth)
             for j, (threshold, holders) in enumerate(held.items()):
@@ -1043,6 +1091,46 @@ def test_holder_table_norms_are_the_scans():
     assert checked == 11 * 2 * sum(math.comb(N_RAYS, j) for j in (1, 2, 3))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_holder_level_skip_is_exact_at_its_boundary(rng, k):
+    """Level k of the holder table is skipped when its smallest norm is at
+    or above the threshold.  Just below and just above that norm, the
+    holders of the probe and 24 random orderings are the scan's support
+    holders: a skipped level has no zero in any ordering."""
+    lowest = explorer._holder_table(k).min()
+    orderings = [Ordering.default().with_ray_last(ray_index("021"))]
+    orderings += [random_ordering(rng) for _ in range(24)]
+    rays = [o.ray_at for o in orderings]
+    for threshold in (np.nextafter(lowest, -np.inf), np.nextafter(lowest, np.inf)):
+        held = _per_row(explorer._holders(rays, threshold, 2), len(rays))
+        for ordering, (green, red) in zip(orderings, held):
+            scan = scan_zero_events(Context(ordering, maximally_mixed_state(), threshold), 2)
+            want_green, want_red = _scan_holders(scan)
+            assert green.tobytes() == want_green.tobytes(), (k, threshold)
+            assert red.tobytes() == want_red.tobytes(), (k, threshold)
+
+
+def test_ray_candidate_table_is_each_chain_stepped_alone():
+    """Every ray candidate's norm in every relative stage order of its rays
+    is, to the bit, its support chain stepped alone with `_Chains.branch`
+    under `Ordering.default()`; the table keys nothing else."""
+    fixed, table = explorer._ray_candidate_table()
+    chains = explorer._Chains(Context(Ordering.default(), maximally_mixed_state()))
+    checked = 0
+    for c, (green, red) in enumerate(explorer._ray_candidates().tolist()):
+        rays = [w for w in range(N_RAYS) if (green | red) >> w & 1]
+        assert fixed[c].tolist() == rays + [N_RAYS] * (4 - len(rays))
+        for order in itertools.permutations(range(len(rays))):
+            state = chains.state
+            for j in order:
+                w = rays[j]
+                state = chains.branch(state, None, np.array([w]))[[green >> w & 1]]
+            key = sum(j * 4 ** (3 - i) for i, j in enumerate(order + (3,) * (4 - len(rays))))
+            assert table[c, key].tobytes() == explorer._norms(state)[0].tobytes(), (c, order)
+            checked += 1
+    assert checked == np.count_nonzero(~np.isnan(table)) == 6 * 24 + 2 * 6
+
+
 def test_a_depth2_search_builds_two_table_levels():
     """The holder table is built lazily, one level at a time: a depth-2
     search builds levels 1 and 2, a depth-3 search adds level 3, and only a
@@ -1074,7 +1162,8 @@ def test_the_depth4_survivor_has_no_cover():
     assert not verdict.covered and verdict.witness is None
     green, red = _scan_holders(scan)
     assert (len(scan), len(green)) == (88395, 218)
-    [(held_green, held_red)] = explorer._holders([ctx.ordering.ray_at], ctx.threshold, 4)
+    row, held_green, held_red = explorer._holders([ctx.ordering.ray_at], ctx.threshold, 4)
+    assert not row.any()
     assert held_green.tobytes() == green.tobytes() and held_red.tobytes() == red.tobytes()
 
 
@@ -1126,7 +1215,8 @@ def test_structural_candidates_of_a_chunk_equal_the_per_context_norms(rng):
             assert list(structural_threat_pairs(ctx)) == zeros
     rays = [o.ray_at for o in orderings]
     for threshold in (DEFAULT_THRESHOLD, 0.1, 0.3):
-        for ordering, built in zip(orderings, explorer._threat_pairs(rays, threshold)):
+        built_rows = _per_row(explorer._threat_pairs(rays, threshold), len(rays))
+        for ordering, built in zip(orderings, built_rows):
             _, _, zeros = _reference_threats(Context(ordering, maximally_mixed_state(), threshold))
             assert list(EventArray(*built)) == zeros, threshold
 
@@ -1155,7 +1245,7 @@ def test_the_gap_pair_is_null_by_the_basis_rule(rng):
             assert all(int(red) >> i & 1 for i in basis)
             assert not any(int(green | red) >> r & 1 for p, r in enumerate(ordering.ray_at)
                            if stage.min() < p < stage.max() and r not in basis)
-    for i, (green, red) in enumerate(explorer._threat_pairs(rays, 1e-300)):
+    for i, (green, red) in enumerate(_per_row(explorer._threat_pairs(rays, 1e-300), len(rays))):
         assert green[-2:].tolist() == [gaps[0][i, 0], gaps[1][i, 0]]
         assert red[-2:].tolist() == [gaps[0][i, 1], gaps[1][i, 1]]
     for ordering in orderings:
@@ -1215,25 +1305,34 @@ def test_chunked_search_equals_the_per_candidate_loop(scan_max_fixed):
 def test_a_search_never_scans_and_makes_one_structural_pass(monkeypatch):
     """The search reads holders, never the full scan, and its structural
     candidates go through one `_threat_pairs` pass for every candidate,
-    which takes no member states and no value of the functional."""
-    passes = []
-    threat_pairs = explorer._threat_pairs
+    which takes no member states and no value of the functional.  One
+    `_segment_coverage` call decides every candidate, never through
+    `coverage_check`."""
+    passes, decisions = [], []
+    threat_pairs, segment_coverage = explorer._threat_pairs, explorer._segment_coverage
 
     def no_scan(*_):
-        raise AssertionError("the search ran the full scan or the functional")
+        raise AssertionError("the search ran the full scan, the functional or coverage_check")
 
     def counting_threats(ray_at, threshold):
         passes.append(len(ray_at))
         return threat_pairs(ray_at, threshold)
 
+    def counting_decisions(support, events, bounds, scope):
+        decisions.append(len(bounds) - 1)
+        return segment_coverage(support, events, bounds, scope)
+
     monkeypatch.setattr(explorer, "_zero_rows", no_scan)
+    monkeypatch.setattr(explorer, "coverage_check", no_scan)
     monkeypatch.setattr(Context, "_member_states", no_scan)
     monkeypatch.setattr(Context, "decoherences", no_scan)
     monkeypatch.setattr(explorer, "_threat_pairs", counting_threats)
-    for depth, budget in ((1, 7), (2, 7), (3, 4), (4, 2)):
+    monkeypatch.setattr(explorer, "_segment_coverage", counting_decisions)
+    for depth, budget in ((1, 7), (2, 7), (3, 4), (4, 2), (2, 0)):
         passes.clear()
+        decisions.clear()
         report = ordering_search(budget, seed=3, scan_max_fixed=depth)
-        assert len(report.candidates) == budget and passes == [budget]
+        assert len(report.candidates) == budget and passes == decisions == [budget]
 
 
 @pytest.mark.parametrize("kwargs", [
