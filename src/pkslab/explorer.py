@@ -347,153 +347,94 @@ def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     return ZeroScan(*columns, min_rejected)
 
 
-# Holders with up to this many fixed rays are read from `_holder_table`;
-# deeper ones are stepped per ordering from the table's states at this level.
-_TABLE_FIXED = 3
-
-
-def _holder_states(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chain states (2, 33**k, sectors, slots, 3) of the gamma_P and gamma_P'
-    chains under the maximally mixed state, without a detector, for every
-    ordered k-tuple of rays (r_1, ..., r_k) in stage order, at row
-    r_1 33**(k-1) + ... + r_k (rows that repeat a ray are stepped too and
-    never read), and whether each row fixes a disagreement ray.
+def _support_chains(k: int):
+    """Blocks (gamma_P' flag, ray tuples (n, k) int8 in stage order, norms)
+    of the gamma_P and gamma_P' chains under the maximally mixed state,
+    without a detector, on every ordered k-tuple of distinct rays; a
+    gamma_P' chain is listed only where it fixes a disagreement ray.
 
     Such a chain depends only on its fixed rays in stage order, so these
-    states serve every ordering.  They are stepped level by level from the
-    root with `_Chains.branch` under `Ordering.default()`, where a position
-    is a ray, so every norm is the scan's to the bit.  A gamma_P' chain
-    fixing no disagreement ray is gamma_P's, so gamma_P' steps only the rows
-    that fix one and otherwise takes its colour from gamma_P's branch, which
-    builds both."""
+    serve every ordering.  They are stepped depth first, about `_BLOCK`
+    children at a time, with `_Chains.branch` under `Ordering.default()`,
+    where a position is a ray, and each norm is taken over both children of
+    its branch as the scan takes it, so every norm is the scan's to the
+    bit.  A gamma_P' chain fixing no disagreement ray is gamma_P's, so a
+    gamma_P' row is stepped on its own only once it fixes one; at the first
+    such ray it is the other child of gamma_P's branch."""
     chains = _Chains(Context(Ordering.default(), maximally_mixed_state()))
     gp, gpp = phi_m_support()
-    bits, disagree = np.array([[gp.bits], [gpp.bits]]), gp.bits ^ gpp.bits
-    state, fixes = np.repeat(chains.state[None], 2, axis=0), np.zeros(1, dtype=bool)
-    for _ in range(k):
-        n = state.shape[1] * N_RAYS
-        par, ray = np.divmod(np.arange(n), N_RAYS)
-        green = (bits >> ray & 1).astype(bool)  # (colouring, row)
-        child = chains.branch(state[0, par], None, ray)[np.arange(n) + n * green]  # no cut
-        stepped = np.flatnonzero(fixes[par])  # gamma_P' parents fixing a disagreement ray
-        child[1, stepped] = chains.branch(state[1, par[stepped]], None, ray[stepped])[
-            np.arange(stepped.size) + stepped.size * green[1, stepped]]
-        state, fixes = child, fixes[par] | (disagree >> ray & 1).astype(bool)
-    return state, fixes
-
-
-@lru_cache(maxsize=None)
-def _holder_table(k: int) -> np.ndarray:
-    """Norms (2, 33**k) of `_holder_states(k)`, built on first use; only
-    the norms are kept."""
-    state, fixes = _holder_states(k)
-    norm = np.repeat(_norms(state[0])[None], 2, axis=0)
-    norm[1, fixes] = _norms(state[1, fixes])
-    return _column(norm, np.float64)
-
-
-@lru_cache(maxsize=1)
-def _table_states() -> np.ndarray:
-    """`_holder_states(_TABLE_FIXED)`, from which deeper levels are stepped."""
-    return _column(_holder_states(_TABLE_FIXED)[0], np.float64)
-
-
-@lru_cache(maxsize=None)
-def _subsets(k: int) -> np.ndarray:
-    """The increasing k-subsets of the 33 positions, (C(33, k), k), in
-    `itertools.combinations` order."""
-    return _column(list(itertools.combinations(range(N_RAYS), k)), np.intp)
-
-
-def _table_keys(at: np.ndarray) -> np.ndarray:
-    """`_holder_table` rows of ray tuples `at` (..., k), in stage order."""
-    return at @ N_RAYS ** np.arange(at.shape[-1] - 1, -1, -1)
-
-
-def _stepped_holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
-    """Number of fixed rays, green and red masks of one ray order's holders
-    with `_TABLE_FIXED` < k <= `max_fixed` fixed rays, unsorted.
-
-    The level-`_TABLE_FIXED` table states of its increasing subsets, gamma_P
-    at every subset and gamma_P' at those fixing a disagreement ray, are
-    stepped level by level with `_Chains.branch`, each child keeping its
-    colouring's colour at the new ray.  A gamma_P row fixing no
-    disagreement ray is gamma_P''s too: where the new ray is one, the other
-    child of its branch is the gamma_P' row, so every gamma_P' row fixes a
-    disagreement ray and none is stepped twice."""
-    gp, gpp = phi_m_support()
     disagree = gp.bits ^ gpp.bits
-    chains = _Chains(Context(Ordering(tuple(ray_at.tolist())), maximally_mixed_state()))
-    sub = _subsets(_TABLE_FIXED)
-    at = chains.ray_at[sub]
-    fixed = np.bitwise_or.reduce(np.int64(1) << at, axis=1)
-    pp = np.flatnonzero(fixed & disagree)
-    key, table = _table_keys(at), _table_states()
-    # per row: last position, fixed mask, the green mask of its colouring, state
-    last, fixed = np.concatenate([sub[:, -1], sub[pp, -1]]), np.concatenate([fixed, fixed[pp]])
-    bits = np.repeat([gp.bits, gpp.bits], [len(sub), pp.size])
-    state = np.concatenate([table[0, key], table[1, key[pp]]])
-    zeros = []  # per block: n_fixed, fixed mask, colouring of zero rows
-    for k in range(_TABLE_FIXED + 1, max_fixed + 1):
-        level = []
-        for par, p in _children(last):
-            n, bit = par.size, np.int64(1) << chains.ray_at[p]
-            green = (bits[par] & bit) != 0
-            fork = np.flatnonzero((bits[par] == gp.bits) & ((fixed[par] & disagree) == 0)
-                                  & ((bit & disagree) != 0))
-            pick = np.concatenate([np.arange(n) + n * green, fork + n * ~green[fork]])
-            child = chains.branch(state[par], last[par], p)[pick]
-            pair = pick % n
-            c_fixed = fixed[par[pair]] | bit[pair]
-            c_bits = np.concatenate([bits[par], np.full(fork.size, gpp.bits)])
-            z = _norms(child) < threshold
-            zeros.append((np.full(np.count_nonzero(z), k, np.int8), c_fixed[z], c_bits[z]))
-            if k < max_fixed:
-                level.append((p[pair].astype(np.int8), c_fixed, c_bits, child))
-        if level:
-            last, fixed, bits, state = (np.concatenate(c) for c in zip(*level))
-    n_fixed, fixed, bits = (np.concatenate(c) for c in zip(*zeros))
-    return n_fixed, fixed & bits, fixed & ~bits
+
+    def descend(pp, at, state):  # per row: gamma_P' flag, ray tuple, chain state
+        j, n = at.shape[1], len(at)
+        free = np.ones((n, N_RAYS), dtype=bool)
+        free[np.arange(n)[:, None], at] = False
+        fixes = (disagree >> at.astype(np.int64) & 1).any(axis=1)
+        step = max(1, _BLOCK // (2 * (N_RAYS - j)))  # parents per block
+        for lo in range(0, n, step):
+            par, ray = np.nonzero(free[lo:lo + step])
+            par += lo
+            m = par.size
+            green = (np.where(pp[par], gpp.bits, gp.bits) >> ray & 1).astype(bool)
+            fork = np.flatnonzero(~pp[par] & ~fixes[par] & (disagree >> ray & 1).astype(bool))
+            pick = np.concatenate([np.arange(m) + m * green, fork + m * ~green[fork]])
+            child, pair = chains.branch(state[par], None, ray), pick % m  # no cut
+            c_pp = np.concatenate([pp[par], np.ones(fork.size, dtype=bool)])
+            c_at = np.column_stack([at[par[pair]], ray[pair]]).astype(np.int8)
+            if j + 1 == k:
+                yield c_pp, c_at, _norms(child)[pick]
+            else:
+                yield from descend(c_pp, c_at, child[pick])
+
+    yield from descend(np.zeros(1, dtype=bool), np.zeros((1, 0), np.int8), chains.state)
 
 
-def _holders(ray_at, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
-    """The (ray order row, green, red) columns of the events that hold
-    gamma_P or gamma_P' in the `scan_zero_events` of each ray order row of
-    `ray_at` (n, 33) under the maximally mixed state, without a detector:
-    by row, and within a row in the scan's record order.
+@lru_cache(maxsize=None)
+def _null_rows(k: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ray tuples (n, k) int8 in stage order of the `_support_chains(k)`
+    of gamma_P, then of gamma_P', whose norms fall below `threshold`; built
+    on first use per level and threshold."""
+    null = ([], [])
+    for pp, at, norm in _support_chains(k):
+        z = norm < threshold
+        for c in (0, 1):
+            null[c].append(at[z & (pp == c)])
+    return tuple(_column(np.concatenate(rows), np.int8) for rows in null)
+
+
+def _holders(pos, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
+    """The (row, green, red) columns of the events that hold gamma_P or
+    gamma_P' in the `scan_zero_events` of each ordering, under the maximally
+    mixed state, without a detector, where row i of `pos` (n, 33) maps each
+    ray to its stage in ordering i: by row, and within a row in the scan's
+    record order.
 
     A holder of a colouring fixes each of its rays at the colouring's colour,
     so its chain is one of the scan's chains with the colouring's child at
-    every step.  An event holding both colourings fixes no ray where they
-    disagree: its gamma_P row lists it once, and a gamma_P' row is kept only
-    where its fixed rays meet the disagreement rays.  Holders with up to
-    `_TABLE_FIXED` fixed rays are read from `_holder_table` for all rows at
-    once: a row's holders with k fixed rays are the table rows of its
-    increasing k-subsets of positions, keyed by the rays at them, whose
-    norms fall below `threshold`.  A level whose whole table is at or above
-    the threshold holds no zero for any ordering and is skipped (at 1e-10,
-    levels 1 and 2).  Deeper holders are `_stepped_holders`, one row at a
-    time."""
+    every step, and it is null exactly when its fixed rays in stage order
+    are a `_null_rows` tuple of that colouring.  So an ordering holds the
+    tuple (r_1, ..., r_k) iff pos[r_1] < ... < pos[r_k], a position test
+    made for every ordering at once, about `_BLOCK` tests at a time.  An
+    event holding both colourings fixes no disagreement ray, so only its
+    gamma_P tuple is listed.  An empty list, such as levels 1 and 2 at
+    1e-10, costs no test."""
     gp, gpp = phi_m_support()
-    disagree, bits = gp.bits ^ gpp.bits, np.array([gp.bits, gpp.bits])
-    rays = np.asarray(ray_at, dtype=np.int8).reshape(-1, N_RAYS)
+    pos = np.asarray(pos, dtype=np.int8).reshape(-1, N_RAYS)
     none = np.zeros(0, np.int64)
     levels = [(none, none.astype(np.int8), none, none)]  # row, n_fixed, green, red of holders
-    for k in range(1, min(max_fixed, _TABLE_FIXED) + 1):
-        norm = _holder_table(k)  # built before the level's gather is held
-        if norm.min() >= threshold:
-            continue
-        at = rays[:, _subsets(k)]  # (rows, subsets, k)
-        fixed = np.bitwise_or.reduce(np.int64(1) << at, axis=2)
-        zero = norm[:, _table_keys(at)] < threshold
-        zero[1] &= (fixed & disagree) != 0
-        colouring, row, s = np.nonzero(zero)
-        f, b = fixed[row, s], bits[colouring]
-        levels.append((row, np.full(row.size, k, np.int8), f & b, f & ~b))
-    if max_fixed > _TABLE_FIXED:
-        for i, r in enumerate(rays):
-            n_fixed, green, red = _stepped_holders(r, threshold, max_fixed)
-            levels.append((np.full(n_fixed.size, i), n_fixed, green, red))
+    step = max(1, _BLOCK // max(1, len(pos)))  # list rows per test block
+    for k in range(1, max_fixed + 1):
+        for bits, null in zip((gp.bits, gpp.bits), _null_rows(k, threshold)):
+            for lo in range(0, len(null), step):
+                at = null[lo:lo + step]
+                held, p = np.ones((len(pos), len(at)), dtype=bool), pos[:, at[:, 0]]
+                for j in range(1, k):  # (orderings, list rows): pos[r_j] < pos[r_j+1]
+                    q = pos[:, at[:, j]]
+                    held &= p < q
+                    p = q
+                row, i = np.nonzero(held)
+                fixed = np.bitwise_or.reduce(np.int64(1) << at[i], axis=1)
+                levels.append((row, np.full(row.size, k, np.int8), fixed & bits, fixed & ~bits))
     row, n_fixed, green, red = (np.concatenate(c) for c in zip(*levels))
     order = np.lexsort((red, green, n_fixed, row))
     return row[order], green[order], red[order]
@@ -609,15 +550,14 @@ def pks_only_coverage(support: tuple[Colouring, ...]) -> CoverageVerdict:
 # --- structural constructions ---------------------------------------------------
 
 
-def _gap_masks(c: Colouring, basis_indices: tuple[int, int, int], ray_at) -> np.ndarray:
-    """(green, red) mask rows of `basis_gap_event` for each ray order row of
-    `ray_at` (n, 33)."""
-    rays = np.asarray(ray_at)
-    stage = np.argsort(rays, axis=1)[:, list(basis_indices)]  # the basis stages of each row
-    s = np.arange(N_RAYS)
-    gap = (stage.min(axis=1, keepdims=True) < s) & (s < stage.max(axis=1, keepdims=True))
+def _gap_masks(c: Colouring, basis_indices: tuple[int, int, int], pos) -> np.ndarray:
+    """(green, red) mask rows of `basis_gap_event` for each row of `pos`
+    (n, 33), which maps each ray to its stage."""
+    pos = np.asarray(pos)
+    stage = pos[:, list(basis_indices)]  # the basis stages of each row
+    gap = (stage.min(axis=1, keepdims=True) < pos) & (pos < stage.max(axis=1, keepdims=True))
     basis = sum(1 << i for i in basis_indices)
-    fixed = FULL_MASK & ~(np.where(gap, np.int64(1) << rays, 0).sum(axis=1) & ~basis)
+    fixed = FULL_MASK & ~(np.where(gap, np.int64(1) << np.arange(N_RAYS), 0).sum(axis=1) & ~basis)
     return np.stack([fixed & c.bits, fixed & ~c.bits], axis=1)
 
 
@@ -631,7 +571,7 @@ def basis_gap_event(
     if the colouring is red on the whole basis the product vanishes, so
     the event has measure zero while still containing the colouring.
     """
-    green, red = _gap_masks(c, basis_indices, [ordering.ray_at])[0].tolist()
+    green, red = _gap_masks(c, basis_indices, [ordering.positions()])[0].tolist()
     return HomogeneousEvent(green, red)
 
 
@@ -712,7 +652,7 @@ def _ray_candidate_table() -> tuple[np.ndarray, np.ndarray]:
     A candidate on three rays gets a fourth at position N_RAYS, after every
     stage and never stepped.  A stage order is keyed by the argsort of the
     rays' positions read as base-4 digits, most significant first; keys
-    that are no stage order hold NaN.  As in `_holder_states`, a chain steps
+    that are no stage order hold NaN.  As in `_support_chains`, a chain steps
     its colouring's colour over its fixed rays in stage order with
     `_Chains.branch` under `Ordering.default()`, so its norm depends on the
     order of those rays alone."""
@@ -739,11 +679,11 @@ def _ray_candidate_table() -> tuple[np.ndarray, np.ndarray]:
     return _column(fixed, np.intp), _column(table, np.float64)
 
 
-def _threat_pairs(ray_at, threshold: float) -> tuple[np.ndarray, ...]:
-    """The (ray order row, green, red) columns of `structural_threat_pairs`
-    under the maximally mixed state, without a detector, at `threshold`, for
-    each ray order row of `ray_at` (n, 33): by row, and within a row in
-    candidate order.
+def _threat_pairs(pos, threshold: float) -> tuple[np.ndarray, ...]:
+    """The (row, green, red) columns of `structural_threat_pairs` under the
+    maximally mixed state, without a detector, at `threshold`, for each row
+    of `pos` (n, 33), which maps each ray to its stage: by row, and within
+    a row in candidate order.
 
     A ray candidate is a support chain on its 3-4 fixed rays, so its norm is
     read from `_ray_candidate_table` at the relative stage order of those
@@ -753,13 +693,13 @@ def _threat_pairs(ray_at, threshold: float) -> tuple[np.ndarray, ...]:
     become adjacent, and the product of the three red projectors of an
     orthonormal basis is exactly 0."""
     gp, gpp = phi_m_support()
-    rays = np.asarray(ray_at, dtype=np.intp).reshape(-1, N_RAYS)
+    pos = np.asarray(pos).reshape(-1, N_RAYS)
     shared, (fixed, table) = _ray_candidates(), _ray_candidate_table()
     # each ray's position, then N_RAYS for a three-ray candidate's fourth
-    pos = np.append(np.argsort(rays, axis=1), np.full((len(rays), 1), N_RAYS), axis=1)
-    key = np.argsort(pos[:, fixed], axis=2) @ _ORDER_DIGITS
-    gaps = [_gap_masks(gp, _chain_basis(11), rays), _gap_masks(gpp, _chain_basis(7), rays)]
-    masks = np.concatenate([np.broadcast_to(shared, (len(rays), *shared.shape)),
+    key = np.argsort(np.append(pos, np.full((len(pos), 1), N_RAYS), axis=1)[:, fixed],
+                     axis=2) @ _ORDER_DIGITS
+    gaps = [_gap_masks(gp, _chain_basis(11), pos), _gap_masks(gpp, _chain_basis(7), pos)]
+    masks = np.concatenate([np.broadcast_to(shared, (len(pos), *shared.shape)),
                             np.stack(gaps, axis=1)], axis=1)  # (rows, candidates, colour)
     zero = np.ones(masks.shape[:2], dtype=bool)
     zero[:, :len(shared)] = table[np.arange(len(shared)), key] < threshold
@@ -872,11 +812,13 @@ def ordering_search(
     preclusivity, only that no cover was found within the scan scope.
 
     A candidate's verdict reads only zero events that hold gamma_P or
-    gamma_P', so each candidate is scored from its `_holders` (the scan's
-    support holders, in its record order) and its structural zeros, which
-    one `_threat_pairs` pass gives for every candidate: its ray candidates
-    are support chains read from a table by the relative order of their
-    rays, and its gap pair is null exactly.  Both come as flat columns
+    gamma_P', so each candidate is scored, from the stage of every ray in
+    its ordering (taken once), by its `_holders` (the scan's support
+    holders, in its record order: position tests against one list of null
+    support-chain tuples per level) and its structural zeros, which one
+    `_threat_pairs` pass gives for every candidate: its ray candidates are
+    support chains read from a table by the relative order of their rays,
+    and its gap pair is null exactly.  Both come as flat columns
     keyed by candidate, and one `_segment_coverage` call decides every
     candidate on its own segment (its holders, then its structural zeros),
     picking the witness `context_coverage` picks at every threshold of at
@@ -907,8 +849,10 @@ def ordering_search(
             label = f"random-ord-{i}"
         drawn.append((label, ordering))
     rays = np.array([ordering.ray_at for _, ordering in drawn], dtype=np.intp).reshape(-1, N_RAYS)
-    held_row, *held = _holders(rays, threshold, scan_max_fixed)
-    built_row, *built = _threat_pairs(rays, threshold)
+    pos = np.empty(rays.shape, np.int8)  # each row's stage of each ray, taken once
+    pos[np.arange(budget)[:, None], rays] = np.arange(N_RAYS)
+    held_row, *held = _holders(pos, threshold, scan_max_fixed)
+    built_row, *built = _threat_pairs(pos, threshold)
     # each candidate's segment: its holders, then its structural zeros
     row = np.concatenate([held_row, built_row])
     order = np.argsort(row, kind="stable")

@@ -1038,19 +1038,24 @@ def _holder_orderings(rng, n_random):
         yield random_ordering(rng)
 
 
+def _positions(orderings):
+    """Each ordering's stage of every ray, as `ordering_search` passes them."""
+    return [o.positions() for o in orderings]
+
+
 def test_holders_are_the_scans_support_holders(rng):
-    """Read from the holder table (k <= 3) and stepped from its level-3
-    states (k = 4), the holders of each ordering under the maximally mixed
-    state are the scan's support holders mask for mask and in record order,
-    events holding both colourings once, at thresholds 1e-10, 0.1 and 0.3
+    """Scored by position tests against the null lists, the holders of
+    each ordering under the maximally mixed state are the scan's support
+    holders mask for mask and in record order, events holding both
+    colourings once, at depths 3 and 4 and thresholds 1e-10, 0.1 and 0.3
     (the first with such events at k <= 3).  One scan at 0.3 serves all
     three: the scan's norms do not depend on the threshold, so its zeros
     under a smaller one are its records with norms below it."""
     gp, gpp = phi_m_support()
     both = np.zeros((5, 3), dtype=int)  # holders of both colourings, by fixed rays and threshold
-    for depth, n_random in ((3, 100), (4, 2)):
+    for depth, n_random in ((3, 100), (4, 20)):
         orderings = list(_holder_orderings(rng, n_random))
-        rays = [o.ray_at for o in orderings]
+        rays = _positions(orderings)
         held = {t: _per_row(explorer._holders(rays, t, depth), len(rays))
                 for t in (DEFAULT_THRESHOLD, 0.1, 0.3)}
         for i, ordering in enumerate(orderings):
@@ -1065,42 +1070,79 @@ def test_holders_are_the_scans_support_holders(rng):
     assert both[3, 2] and both[4, 2]  # at 0.3 some holders hold both, at k = 3 and at k = 4
 
 
+@pytest.mark.slow
+def test_depth5_holders_are_the_scans_support_holders(rng):
+    """At depth 5 and 1e-10 the holders of the probe, two separating and
+    two random orderings are the scan's support holders, mask for mask and
+    in record order."""
+    orderings = list(_holder_orderings(rng, 2))
+    held = _per_row(explorer._holders(_positions(orderings), DEFAULT_THRESHOLD, 5), len(orderings))
+    for i, ordering in enumerate(orderings):
+        scan = scan_zero_events(Context(ordering, maximally_mixed_state()), 5)
+        green, red = _scan_holders(scan)
+        assert held[i][0].tobytes() == green.tobytes(), i
+        assert held[i][1].tobytes() == red.tobytes(), i
+
+
+def _support_chain_table(k):
+    """The norms (2, 33**k) of `_support_chains(k)` for gamma_P and gamma_P',
+    at row r_1 33**(k-1) + ... + r_k of the rays in stage order; a gamma_P'
+    chain fixing no disagreement ray is gamma_P's, and rows that repeat a
+    ray hold NaN."""
+    table = np.full((2, N_RAYS**k), np.nan)
+    for pp, at, norm in explorer._support_chains(k):
+        table[pp.astype(int), _tuple_keys(at)] = norm
+    table[1] = np.where(np.isnan(table[1]), table[0], table[1])
+    return table
+
+
+def _tuple_keys(at):
+    """`_support_chain_table` rows of ray tuples `at` (..., k), in stage order."""
+    return at.astype(np.intp) @ N_RAYS ** np.arange(at.shape[-1] - 1, -1, -1)
+
+
 def test_holder_table_norms_are_the_scans():
     """Every holder's norm in the scan of an ordering, at a threshold above
-    every norm, is the table's norm of its fixed rays in stage order, to the
-    bit, for gamma_P and gamma_P' at k <= 3."""
+    every norm, is the `_support_chains` norm of its fixed rays in stage
+    order, to the bit, for gamma_P and gamma_P': at k <= 3 in the probe, two
+    separating and eight random orderings, and at k = 4 in the probe and
+    the last random one."""
     rng = np.random.default_rng(9)
     gp, gpp = phi_m_support()
+    tables = {j: _support_chain_table(j) for j in (1, 2, 3, 4)}
     checked = 0
-    for ordering in _holder_orderings(rng, 8):
-        scan = scan_zero_events(Context(ordering, maximally_mixed_state(), 2.0), 3)
+    for i, ordering in enumerate(_holder_orderings(rng, 8)):
+        depth = 4 if i in (0, 10) else 3
+        scan = scan_zero_events(Context(ordering, maximally_mixed_state(), 2.0), depth)
         fixed = scan.events.green | scan.events.red
         ray_at = np.array(ordering.ray_at)
         # each record's fixed rays in stage order
         rows, p = np.nonzero((fixed[:, None] >> ray_at & 1).astype(bool))
         k = np.bincount(rows, minlength=len(scan))
-        assert len(scan) == sum(math.comb(N_RAYS, j) << j for j in (1, 2, 3))
-        for j in (1, 2, 3):
+        assert len(scan) == sum(math.comb(N_RAYS, j) << j for j in range(1, depth + 1))
+        for j in range(1, depth + 1):
             at = ray_at[p[np.repeat(k == j, k)]].reshape(-1, j)
-            key, norm = explorer._table_keys(at), scan.norm[k == j]
+            key, norm = _tuple_keys(at), scan.norm[k == j]
             for c, colouring in enumerate((gp, gpp)):
                 held = scan.events.holds(colouring)[k == j]
-                table = explorer._holder_table(j)[c, key[held]]
+                table = tables[j][c, key[held]]
                 assert table.tobytes() == norm[held].tobytes(), (j, c)
                 checked += held.sum()
-    assert checked == 11 * 2 * sum(math.comb(N_RAYS, j) for j in (1, 2, 3))
+    assert checked == (11 * 2 * sum(math.comb(N_RAYS, j) for j in (1, 2, 3))
+                       + 2 * 2 * math.comb(N_RAYS, 4))
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_the_holder_level_skip_is_exact_at_its_boundary(rng, k):
-    """Level k of the holder table is skipped when its smallest norm is at
-    or above the threshold.  Just below and just above that norm, the
-    holders of the probe and 24 random orderings are the scan's support
-    holders: a skipped level has no zero in any ordering."""
-    lowest = explorer._holder_table(k).min()
+    """Level k's null list is empty at thresholds up to its smallest
+    support-chain norm, so the level costs no position test there.  Just
+    below and just above that norm, the holders of the probe and 24 random
+    orderings are the scan's support holders: an empty list drops no zero
+    of any ordering."""
+    lowest = min(norm.min() for _, _, norm in explorer._support_chains(k))
     orderings = [Ordering.default().with_ray_last(ray_index("021"))]
     orderings += [random_ordering(rng) for _ in range(24)]
-    rays = [o.ray_at for o in orderings]
+    rays = _positions(orderings)
     for threshold in (np.nextafter(lowest, -np.inf), np.nextafter(lowest, np.inf)):
         held = _per_row(explorer._holders(rays, threshold, 2), len(rays))
         for ordering, (green, red) in zip(orderings, held):
@@ -1132,22 +1174,24 @@ def test_ray_candidate_table_is_each_chain_stepped_alone():
 
 
 def test_a_depth2_search_builds_two_table_levels():
-    """The holder table is built lazily, one level at a time: a depth-2
-    search builds levels 1 and 2, a depth-3 search adds level 3, and only a
-    deeper search keeps the level-3 states it steps from."""
-    explorer._holder_table.cache_clear()
-    explorer._table_states.cache_clear()
+    """The null lists are built lazily, one level at a time: a depth-2
+    search builds levels 1 and 2, a depth-3 search adds level 3, a depth-4
+    search adds level 4, and a repeat search at the same threshold builds
+    nothing.  The lists are counted at a threshold no other test searches
+    at, so the cache keeps the lists other tests build."""
+    threshold, before = DEFAULT_THRESHOLD / 3, explorer._null_rows.cache_info().currsize
 
     def built():
-        return (explorer._holder_table.cache_info().currsize,
-                explorer._table_states.cache_info().currsize)
+        return explorer._null_rows.cache_info().currsize - before
 
-    ordering_search(4, seed=2, scan_max_fixed=2)
-    assert built() == (2, 0)
-    ordering_search(4, seed=2, scan_max_fixed=3)
-    assert built() == (3, 0)
-    ordering_search(1, seed=2, scan_max_fixed=4)
-    assert built() == (3, 1)
+    ordering_search(4, seed=2, scan_max_fixed=2, threshold=threshold)
+    assert built() == 2
+    ordering_search(4, seed=2, scan_max_fixed=3, threshold=threshold)
+    assert built() == 3
+    ordering_search(1, seed=2, scan_max_fixed=4, threshold=threshold)
+    assert built() == 4
+    ordering_search(1, seed=2, scan_max_fixed=4, threshold=threshold)
+    assert built() == 4
 
 
 def test_the_depth4_survivor_has_no_cover():
@@ -1162,7 +1206,7 @@ def test_the_depth4_survivor_has_no_cover():
     assert not verdict.covered and verdict.witness is None
     green, red = _scan_holders(scan)
     assert (len(scan), len(green)) == (88395, 218)
-    row, held_green, held_red = explorer._holders([ctx.ordering.ray_at], ctx.threshold, 4)
+    row, held_green, held_red = explorer._holders([ctx.ordering.positions()], ctx.threshold, 4)
     assert not row.any()
     assert held_green.tobytes() == green.tobytes() and held_red.tobytes() == red.tobytes()
 
@@ -1213,7 +1257,7 @@ def test_structural_candidates_of_a_chunk_equal_the_per_context_norms(rng):
             candidates, _, zeros = _reference_threats(ctx)
             assert explorer._gap_pair(gp, gpp, ordering) == tuple(candidates[-2:])
             assert list(structural_threat_pairs(ctx)) == zeros
-    rays = [o.ray_at for o in orderings]
+    rays = _positions(orderings)
     for threshold in (DEFAULT_THRESHOLD, 0.1, 0.3):
         built_rows = _per_row(explorer._threat_pairs(rays, threshold), len(rays))
         for ordering, built in zip(orderings, built_rows):
@@ -1232,7 +1276,7 @@ def test_the_gap_pair_is_null_by_the_basis_rule(rng):
     mixed state."""
     gp, gpp = phi_m_support()
     orderings = list(_holder_orderings(rng, 120))
-    rays = [o.ray_at for o in orderings]
+    rays = _positions(orderings)
     gaps = []
     for c, name in ((gp, 11), (gpp, 7)):
         basis = explorer._chain_basis(name)
@@ -1291,12 +1335,12 @@ def _reference_search(budget, seed, scan_max_fixed, threshold):
     return explorer.SearchReport(seed, budget, scan_max_fixed, tuple(ranked))
 
 
-@pytest.mark.parametrize("scan_max_fixed", [1, 2, 3, 4])
+@pytest.mark.parametrize("scan_max_fixed", [1, 2, 3, 4, 5])
 def test_chunked_search_equals_the_per_candidate_loop(scan_max_fixed):
     """Statuses, witnesses, support holders and candidate order equal the
     per-candidate reference, at thresholds 1e-10 and 0.1 (seed 1)."""
-    budget = {1: 8, 2: 8, 3: 5, 4: 3}[scan_max_fixed]
-    for seed in range(2 if scan_max_fixed == 4 else 8):
+    budget = {1: 8, 2: 8, 3: 5, 4: 3, 5: 2}[scan_max_fixed]
+    for seed in range({4: 2, 5: 1}.get(scan_max_fixed, 8)):
         threshold = 0.1 if seed % 4 == 1 else DEFAULT_THRESHOLD
         got = ordering_search(budget, seed, scan_max_fixed, threshold)
         assert got == _reference_search(budget, seed, scan_max_fixed, threshold), seed
