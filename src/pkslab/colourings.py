@@ -331,7 +331,6 @@ def _propagate(col: list[int], trace: list[ForcedStep] | None, order) -> None:
     bases this is the closure of the orthogonality rule alone."""
     neigh = _orthogonal_neighbours()
     while True:
-        changed = False
         for i in range(N_RAYS):
             if col[i] == _GREEN:
                 for j in neigh[i]:
@@ -339,7 +338,6 @@ def _propagate(col: list[int], trace: list[ForcedStep] | None, order) -> None:
                         raise _Conflict(Contradiction("green-green-pair", (i, j)))
                     if col[j] == _UNSET:
                         col[j] = _RED
-                        changed = True
         for b in order:
             vals = [col[i] for i in b.indices]
             if vals.count(_RED) == 3:
@@ -350,10 +348,9 @@ def _propagate(col: list[int], trace: list[ForcedStep] | None, order) -> None:
                 col[forced] = _GREEN
                 if trace is not None:
                     trace.append(ForcedStep(b, reds, forced))
-                changed = True
                 break  # restart so green propagation runs before the next basis
-        if not changed:
-            return
+        else:
+            return  # reddening makes no greens, so a pass that forced none is closed
 
 
 def _branch(col: list[int], order) -> tuple[int, int, list[Contradiction]]:

@@ -22,7 +22,7 @@ from pkslab.rays import (
     enumerate_orthogonal_pairs,
     ray_index,
 )
-from pkslab.spin import ray_projector, spin_eigenbasis
+from zbasis import ray_projector, spin_eigenbasis
 
 
 def report(n: int, text: str) -> None:

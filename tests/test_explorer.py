@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import zbasis
 from conftest import random_mixed_state, random_ordering, random_pure_state
 from pkslab.colourings import gamma_p, gamma_p_prime, pks_events
 from pkslab import explorer
@@ -45,7 +46,7 @@ from pkslab.rays import (
     ray_permutations,
     symmetry_group,
 )
-from pkslab.spin import ray_projector
+from zbasis import ray_projector
 
 # Frozen scan fixtures for the default context (listing order, middle
 # z-basis state, threshold 1e-10), from the independent brute-force scan.
@@ -510,13 +511,13 @@ def test_detected_level_norms_agree_with_scalar(default_ctx, rng):
 
 def test_cartesian_table_and_state_slots_match_the_projectors(rng):
     """Green u u^T and red I - u u^T, carried to the z-basis by CART_TO_Z,
-    are the package's projectors; the real slots of a state give every
-    single-projector measure of the state."""
+    are the oracle's eigenbasis projectors; the real slots of a state give
+    every single-projector measure of the state."""
     from pkslab import spin
 
     t = spin.CART_TO_Z
     assert np.allclose(t @ t.conj().T, np.eye(3), atol=1e-15)
-    projs = spin._ray_projectors()
+    projs = zbasis._ray_projectors()
     for i, u in enumerate(spin.ray_directions()):
         green = np.outer(u, u)
         assert np.allclose(t @ green @ t.conj().T, projs[i, 0], atol=1e-15)
@@ -1171,6 +1172,20 @@ def test_ray_candidate_table_is_each_chain_stepped_alone():
             assert table[c, key].tobytes() == explorer._norms(state)[0].tobytes(), (c, order)
             checked += 1
     assert checked == np.count_nonzero(~np.isnan(table)) == 6 * 24 + 2 * 6
+
+
+def test_ray_candidate_table_margin():
+    """Every finite norm of the ray-candidate table is below 1e-15 or above
+    0.15, so the search's default threshold sits far from both sides: at it
+    92 of the 156 stage orders are null, and at 0.3 all of them are."""
+    _, table = explorer._ray_candidate_table()
+    finite = table[~np.isnan(table)]
+    assert finite.size == 156
+    assert np.all((finite < 1e-15) | (finite > 0.15))
+    null = np.nan_to_num(table, nan=np.inf) < DEFAULT_THRESHOLD
+    assert null.sum(axis=1).tolist() == [6, 12, 12, 6, 12, 16, 16, 12]
+    assert np.count_nonzero(finite < DEFAULT_THRESHOLD) == 92
+    assert np.count_nonzero(finite < 0.3) == 156
 
 
 def test_a_depth2_search_builds_two_table_levels():

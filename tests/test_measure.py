@@ -104,7 +104,7 @@ def test_event_state_matches_completion_oracle(rng):
         # which for a truncated comparison means simply cutting the chain
         collapsed = psi.copy()
         for ray, green in zbasis.chain(ctx.ordering, e):
-            collapsed = spin.ray_projector(ray, green) @ collapsed
+            collapsed = zbasis.ray_projector(ray, green) @ collapsed
         assert np.linalg.norm(brute - collapsed) < 1e-10
 
 

@@ -4,7 +4,8 @@ The cross-check basis: on C^3 with the Cartesian representation the spin
 operators are (S_k)_lm = -i eps_klm, the spin-zero eigenvector along a
 real unit u is u itself, and the spin-squared projector is the real outer
 product u u^T.  A fixed unitary intertwines that picture with the
-z-eigenbasis used by the package, giving an oracle for every projector.
+z-eigenbasis, where the tests' oracle (`zbasis`) builds its projectors from
+the eigenbases of S.u; the package's projectors must match both.
 """
 
 import itertools
@@ -13,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from pkslab import spin
 from pkslab.rays import PERES_RAYS, enumerate_bases, enumerate_orthogonal_pairs
-from pkslab.spin import (
+from pkslab.spin import direction_from_ray
+from zbasis import (
     S_X,
     S_Y,
     S_Z,
-    direction_from_ray,
     projector,
     ray_projector,
     spin_eigenbasis,
@@ -129,11 +131,21 @@ def test_projector_shape_and_idempotence():
 
 
 def test_projectors_match_cartesian_oracle():
+    """The eigenbasis projectors are the Cartesian u u^T and I - u u^T seen
+    in the z-basis, and `spin.ray_projector`, built as that view, matches
+    them in both colours; its first call warms the direction table."""
     t = CART_TO_Z
     for i, ray in enumerate(PERES_RAYS):
         u = direction_from_ray(ray)
         oracle0 = t @ np.outer(u, u) @ t.conj().T
+        oracle1 = t @ (np.eye(3) - np.outer(u, u)) @ t.conj().T
         assert np.linalg.norm(ray_projector(i, True) - oracle0) < 1e-12
+        assert np.linalg.norm(ray_projector(i, False) - oracle1) < 1e-12
+        for green in (True, False):
+            assert np.abs(spin.ray_projector(i, green) - ray_projector(i, green)).max() <= 1e-15
+    spin.ray_directions.cache_clear()
+    spin.ray_projector(0, True)
+    assert spin.ray_directions.cache_info().currsize == 1
 
 
 def test_orthogonal_pairs_annihilate():

@@ -1,16 +1,77 @@
 """The path measure in the complex z-basis picture, kept as an independent
 oracle for the package's real Cartesian chains.
 
-Every state here is a product of the 3x3 projectors `spin.ray_projector`
-builds from the eigenbases of S.u: event states by identity collapse,
-the states of all paths through a truncated chain by brute force, and the
-decoherence functional member by member on those states.
+The spin-1 matrices, the eigenbases of S.u and the spin-squared projectors
+built from them live here, apart from the package, which builds its
+projectors as u u^T and I - u u^T only.  Every state here is a product of
+these 3x3 projectors: event states by identity collapse, the states of all
+paths through a truncated chain by brute force, and the decoherence
+functional member by member on those states.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from pkslab.measure import EventUnion
-from pkslab.spin import ray_projector
+from pkslab.rays import PERES_RAYS
+from pkslab.spin import SQRT2, direction_from_ray
+
+# Standard spin-1 matrices, eigenvalues {-1, 0, +1}, [Sx, Sy] = i Sz cyclically.
+S_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
+S_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
+S_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+IDENTITY3 = np.eye(3, dtype=complex)
+
+
+def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return S_X.copy(), S_Y.copy(), S_Z.copy()
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component real positive (ties: first index)."""
+    k = int(np.argmax(np.round(np.abs(v), 12)))
+    phase = v[k] / abs(v[k])
+    return v / phase
+
+
+def spin_eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors of S.u, returned in eigenvalue order (-1, 0, +1).
+
+    Requires |u| = 1 within 1e-12; the phase convention is deterministic.
+    """
+    u = np.asarray(u, dtype=float)
+    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        raise ValueError("direction must be a unit vector")
+    op = u[0] * S_X + u[1] * S_Y + u[2] * S_Z
+    _, vecs = np.linalg.eigh(op)  # eigenvalues ascending: -1, 0, +1
+    return tuple(_fix_phase(vecs[:, k]) for k in range(3))
+
+
+def projector(u: np.ndarray, outcome: int) -> np.ndarray:
+    """Spin-squared projector along u: outcome 0 is rank one, outcome 1 rank two."""
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be 0 or 1")
+    zero_vec = spin_eigenbasis(u)[1]
+    p0 = np.outer(zero_vec, zero_vec.conj())
+    return p0 if outcome == 0 else IDENTITY3 - p0
+
+
+@lru_cache(maxsize=1)
+def _ray_projectors() -> np.ndarray:
+    """Array of shape (33, 2, 3, 3): projectors for (ray, outcome 0|1)."""
+    out = np.empty((len(PERES_RAYS), 2, 3, 3), dtype=complex)
+    for i, ray in enumerate(PERES_RAYS):
+        u = direction_from_ray(ray)
+        out[i, 0] = projector(u, 0)
+        out[i, 1] = projector(u, 1)
+    return out
+
+
+def ray_projector(index: int, green: bool) -> np.ndarray:
+    """Projector for a ray by index: green is spin-squared 0, red is 1."""
+    return _ray_projectors()[index, 0 if green else 1]
 
 
 def chain(ordering, event) -> list[tuple[int, bool]]:
