@@ -168,7 +168,7 @@ class ClassicalMeasure:
         _check_n(self.n)
         # the table adds in `value`'s order, so each entry equals `value`
         values = _subset_sums(np.array(self.weights))
-        return tuple(int(e) for e in np.flatnonzero(values < tol))
+        return tuple(np.flatnonzero(values < tol).tolist())
 
 
 class GramMeasure:

@@ -12,9 +12,12 @@ of the two functionals restricted to the detected ray's colour sectors.
 
 `Context.decoherences` is the one evaluator of the functional: it takes
 pairs of events in one numpy pass, building each distinct member once and
-stepping all their chains together with the zero scan's step.  A single
-D(a, b), a measure, a norm or a zero test is a batch of one; callers with
-several events make one call.
+stepping all their chains together with the zero scan's step.  A side is a
+sequence of events and unions, or an `EventBatch`, the same events held as
+mask columns: the bulk callers, the axiom check and the preclusion check,
+draw and build their events as columns and never make event objects.  A
+single D(a, b), a measure, a norm or a zero test is a batch of one; callers
+with several events make one call.
 """
 
 from __future__ import annotations
@@ -112,6 +115,10 @@ def _overlapping_pair(members) -> tuple[HomogeneousEvent, HomogeneousEvent] | No
     return next(((a, b) for a, b in pairs if not a.is_disjoint_from(b)), None)
 
 
+def _overlap_error(a: HomogeneousEvent, b: HomogeneousEvent) -> ValueError:
+    return ValueError(f"members overlap (no ray separates {a.describe()} and {b.describe()})")
+
+
 @dataclass(frozen=True)
 class EventUnion:
     """A disjoint union of homogeneous events.
@@ -125,10 +132,7 @@ class EventUnion:
     def __post_init__(self) -> None:
         pair = _overlapping_pair(self.members)
         if pair is not None:
-            a, b = pair
-            raise ValueError(
-                f"members overlap (no ray separates {a.describe()} and {b.describe()})"
-            )
+            raise _overlap_error(*pair)
 
     def contains(self, c: Colouring) -> bool:
         return any(e.contains(c) for e in self.members)
@@ -141,6 +145,80 @@ def _members(event) -> tuple[HomogeneousEvent, ...]:
     if isinstance(event, HomogeneousEvent):
         return (event,)
     raise TypeError(f"cannot interpret {event!r} as an event")
+
+
+def _readonly(values) -> np.ndarray:
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+class EventBatch:
+    """n events held as mask columns: row i is the disjoint union of its
+    first `sizes[i]` members, (green[i, k], red[i, k]) in member order, and
+    the rest of the row must be zero.  A homogeneous event is a row of one
+    member, so the everything event is the member (0, 0) and the empty union
+    a row of none.  The (n, m) masks are validated in bulk with the checks
+    and messages of `HomogeneousEvent` and `EventUnion`."""
+
+    __slots__ = ("green", "red", "sizes")
+
+    def __init__(self, green, red, sizes):
+        green, red, sizes = (np.asarray(x, dtype=np.int64) for x in (green, red, sizes))
+        if green.ndim != 2 or green.shape != red.shape or sizes.shape != green.shape[:1]:
+            raise ValueError("a batch takes (n, m) green and red masks and n member counts")
+        if ((sizes < 0) | (sizes > green.shape[1])).any():
+            raise ValueError("member counts must lie in 0..m")
+        live = np.arange(green.shape[1]) < sizes[:, None]
+        if (green | red)[~live].any():
+            raise ValueError("slots past a row's member count must be zero")
+        if (green & red).any():
+            raise ValueError("a ray cannot be fixed both green and red")
+        if ((green | red) >> N_RAYS).any():
+            raise ValueError("fixed mask out of range")
+        pairs = list(itertools.combinations(range(green.shape[1]), 2))
+        overlap = np.zeros((len(sizes), len(pairs)), dtype=bool)  # per row and member pair
+        for p, (i, j) in enumerate(pairs):
+            separated = (green[:, i] & red[:, j]) | (red[:, i] & green[:, j])
+            overlap[:, p] = live[:, j] & (separated == 0)
+        if overlap.any():  # the first pair of the first row, as `EventUnion` finds it
+            row, p = np.unravel_index(overlap.argmax(), overlap.shape)
+            raise _overlap_error(*(HomogeneousEvent(int(green[row, k]), int(red[row, k])) for k in pairs[p]))
+        self.green, self.red, self.sizes = _readonly(green), _readonly(red), _readonly(sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+def _columns(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The green and red mask columns and member counts of an `EventBatch`,
+    or of a sequence of events and unions, each asked for its members once.
+    The objects were validated when they were built, so the columns of a
+    sequence are not checked again."""
+    if isinstance(events, EventBatch):
+        return events.green, events.red, events.sizes
+    members = [_members(e) for e in events]
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    live = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    green, red = np.zeros((2, *live.shape), dtype=np.int64)
+    green[live] = [e.green_mask for m in members for e in m]
+    red[live] = [e.red_mask for m in members for e in m]
+    return green, red, sizes
+
+
+def _distinct_members(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (green, red) members of two sides (see `_columns`) as
+    rows, in order of first appearance; then for each side, per member slot,
+    the member row of each event, or -1 (the zero row) where an event has
+    fewer members."""
+    index: dict[tuple[int, int], int] = {}  # (green, red) mask -> member row
+    slots = []
+    for green, red, sizes in (a, b):
+        live = np.arange(green.shape[1]) < sizes[:, None]
+        rows = np.full(live.shape, -1)
+        rows[live] = [index.setdefault(m, len(index)) for m in zip(green[live].tolist(), red[live].tolist())]
+        slots.append(rows.T)
+    return np.array(list(index), dtype=np.int64).reshape(-1, 2), *slots
 
 
 class Context:
@@ -214,41 +292,20 @@ class Context:
     # -- the functional ---------------------------------------------------------
 
     def decoherences(self, a_events, b_events) -> np.ndarray:
-        """D(a, b) for each pair of two equal-length sequences of events or
-        unions, as a complex array.  Each distinct homogeneous member is
-        built once per call; a union's slots are the sum of its members'
-        from zero, in member order.  Per sector, with R and I the Re and Im
-        slots of a mixture term, (R_a.R_b + I_a.I_b) + i (R_a.I_b - I_a.R_b)
-        is weighted and summed over the terms in order, from zero; under a
-        detector the sectors are then added as 0j + red + green.  Swapping a
-        and b only negates the imaginary part: D(b, a) == conj D(a, b)."""
+        """D(a, b) for each pair of two equal-length sides, as a complex
+        array.  A side is an `EventBatch` or a sequence of events and unions,
+        which is converted once.  Each distinct homogeneous member of either
+        side is built once per call; a union's slots are the sum of its
+        members' from zero, in member order.  Per sector, with R and I the Re
+        and Im slots of a mixture term, (R_a.R_b + I_a.I_b) + i (R_a.I_b -
+        I_a.R_b) is weighted and summed over the terms in order, from zero;
+        under a detector the sectors are then added as 0j + red + green.
+        Swapping a and b only negates the imaginary part: D(b, a) == conj
+        D(a, b)."""
         if len(a_events) != len(b_events):
             raise ValueError("decoherences takes two sequences of equal length")
-        index: dict[tuple[int, int], int] = {}  # (green, red) mask -> member row
-
-        def member_slots(events) -> np.ndarray:
-            """Per member slot, the member row of each event, or -1 (the
-            zero row) where an event has fewer members."""
-            sizes = np.empty(len(events), dtype=int)
-
-            def member_rows():  # each event's members are listed once
-                for i, e in enumerate(events):
-                    members = _members(e)
-                    sizes[i] = len(members)
-                    for m in members:
-                        yield index.setdefault((m.green_mask, m.red_mask), len(index))
-
-            rows = np.fromiter(member_rows(), dtype=int)
-            first = np.cumsum(sizes) - sizes
-            slots = np.full((sizes.max(initial=0), len(events)), -1)
-            for k, slot in enumerate(slots):
-                has = sizes > k
-                slot[has] = rows[first[has] + k]
-            return slots
-
-        slots_a = member_slots(a_events)
-        slots_b = member_slots(b_events)
-        states = self._member_states(np.array(list(index), dtype=np.int64).reshape(-1, 2))
+        masks, slots_a, slots_b = _distinct_members(_columns(a_events), _columns(b_events))
+        states = self._member_states(masks)
 
         def union_states(slots: np.ndarray) -> np.ndarray:
             # a partial sum from +0 is never -0, so adding a zero row leaves
@@ -322,17 +379,21 @@ def verify_pks_zero(ctx: Context) -> PksZeroReport:
     every disjoint union of them; all must vanish.  No three of the events
     are pairwise disjoint, so the unions are the 192 disjoint pairs, in
     `itertools.combinations` order.  All are measured in one
-    `Context.decoherences` call; each norm is `_norm` of the measure, as in
-    `Context.norm`."""
+    `Context.decoherences` call of an `EventBatch`; each norm is `_norm` of
+    the measure, as in `Context.norm`."""
     events = pks_events()
     names = [e.describe() for e in events]
-    pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(events)), 2)
-        if events[i].is_disjoint_from(events[j])
-    ]
-    items = [*events, *(EventUnion((events[i], events[j])) for i, j in pairs)]
-    names += [f"{names[i]} | {names[j]}" for i, j in pairs]
+    green = np.array([e.green_mask for e in events], dtype=np.int64)
+    red = np.array([e.red_mask for e in events], dtype=np.int64)
+    separates = (green[:, None] & red) != 0  # some ray green in the row's event, red in the column's
+    i, j = np.nonzero(np.triu(separates | separates.T))  # row-major: `combinations` order
+    none = np.zeros_like(green)
+    items = EventBatch(
+        np.concatenate([np.stack([green, none], axis=1), np.stack([green[i], green[j]], axis=1)]),
+        np.concatenate([np.stack([red, none], axis=1), np.stack([red[i], red[j]], axis=1)]),
+        [1] * len(events) + [2] * len(i),
+    )
+    names += [f"{names[a]} | {names[b]}" for a, b in zip(i.tolist(), j.tolist())]
     entries = tuple(
         (name, _norm(d.real), d.real)
         for name, d in zip(names, ctx.decoherences(items, items).tolist())
@@ -343,21 +404,42 @@ def verify_pks_zero(ctx: Context) -> PksZeroReport:
 # --- sampling helpers shared by the check commands and the test suite ----------
 
 
+def _draw(rng, kinds: str, max_fixed: int = 3) -> list[int]:
+    """Masks drawn in the order of `kinds`, flat.  For each "e", a random
+    homogeneous event's green and red masks: `integers(1, max_fixed + 1)`
+    fixed rays, chosen by `choice(33, k, replace=False)`, then one
+    `integers(2)` colour per ray in that order, 1 for green.  For each "t",
+    the bits of the two rays of a disjoint triple, `choice(33, 2,
+    replace=False)`."""
+    out = []
+    for kind in kinds:
+        if kind == "t":
+            out += [1 << int(i) for i in rng.choice(N_RAYS, size=2, replace=False)]
+            continue
+        green = red = 0
+        k = int(rng.integers(1, max_fixed + 1))
+        for i in rng.choice(N_RAYS, size=k, replace=False).tolist():
+            if rng.integers(2):
+                green |= 1 << i
+            else:
+                red |= 1 << i
+        out += [green, red]
+    return out
+
+
 def random_homogeneous_event(rng, max_fixed: int = 3) -> HomogeneousEvent:
-    k = int(rng.integers(1, max_fixed + 1))
-    rays = rng.choice(N_RAYS, size=k, replace=False)
-    return HomogeneousEvent.from_fixed(
-        {int(i): bool(rng.integers(2)) for i in rays}
-    )
+    return HomogeneousEvent(*_draw(rng, "e", max_fixed))
+
+
+def _triple(i, j) -> tuple[tuple, tuple, tuple]:
+    """The (green, red) masks of the disjoint triple on ray bits i and j,
+    ints or columns: both green; i red and j green; i green and j red."""
+    return (i | j, 0 * i), (j, i), (i, j)
 
 
 def random_disjoint_triple(rng) -> tuple[HomogeneousEvent, ...]:
     """Three pairwise syntactically disjoint homogeneous events."""
-    i, j = (int(x) for x in rng.choice(N_RAYS, size=2, replace=False))
-    a = HomogeneousEvent.from_fixed({i: True, j: True})
-    b = HomogeneousEvent.from_fixed({i: False, j: True})
-    c = HomogeneousEvent.from_fixed({i: True, j: False})
-    return a, b, c
+    return tuple(HomogeneousEvent(g, r) for g, r in _triple(*_draw(rng, "t")))
 
 
 @dataclass(frozen=True)
@@ -379,34 +461,52 @@ class AxiomReport:
         )
 
 
+def _axiom_terms(rng, samples: int, sum_rule_trials: int) -> tuple[EventBatch, EventBatch]:
+    """The events of `check_axioms`, drawn in sampling order; D(lhs[t],
+    rhs[t]) is term t.  Per sample: D(a, b), D(b, a), D(x | y, z), D(x, z),
+    D(y, z) and mu(a), for events a, b and z and a disjoint pair x, y; then
+    mu of everything; per trial, the seven measures of the sum rule on a
+    disjoint triple p, q, r."""
+    a_g, a_r, b_g, b_r, i, j, z_g, z_r = np.reshape(_draw(rng, "eete" * samples), (-1, 8)).T
+    x, y, _ = _triple(i, j)
+    drawn = {"a": (a_g, a_r), "b": (b_g, b_r), "x": x, "y": y, "z": (z_g, z_r)}
+    triples = dict(zip("pqr", _triple(*np.reshape(_draw(rng, "t" * sum_rule_trials), (-1, 2)).T)))
+    everything = {"o": (np.zeros(1, dtype=np.int64),) * 2}
+
+    def unions(members: dict, n: int, rows: str):
+        """The rows named by the members they union, for each of n draws in
+        turn: green and red masks three slots wide, and member counts."""
+        rows = rows.split()
+        green, red = np.zeros((2, n, len(rows), 3), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for k, name in enumerate(row):
+                green[:, r, k], red[:, r, k] = members[name]
+        return green.reshape(-1, 3), red.reshape(-1, 3), np.tile([len(row) for row in rows], n)
+
+    def batch(*parts) -> EventBatch:
+        return EventBatch(*(np.concatenate(columns) for columns in zip(*parts)))
+
+    tail = (unions(everything, 1, "o"), unions(triples, sum_rule_trials, "pqr pq qr pr p q r"))
+    return batch(unions(drawn, samples, "a b xy x y a"), *tail), batch(unions(drawn, samples, "b a z z z a"), *tail)
+
+
 def check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
     """Residuals of the decoherence-functional axioms and of the three-set
     interference sum rule, over random homogeneous events, for any context,
-    with or without a detector.  The context needs one method,
-    `decoherences(a_events, b_events)`, the functional on pairs of events
-    and unions as a complex array (see `Context.decoherences`): every term
-    of every residual is one value of it, all drawn in one call.  Residuals
-    are aggregated so that a NaN anywhere shows in the report (and fails
-    `passes`) instead of vanishing.  At least one sample and one sum-rule
-    trial are required: residuals over no events would pass with no
-    evidence."""
+    with or without a detector.  The events are drawn as mask columns, with
+    the generator calls of `random_homogeneous_event` and
+    `random_disjoint_triple` in sampling order, so a seed draws the same
+    events.  The context needs one method, `decoherences(a_events,
+    b_events)`, the functional on pairs of events and unions as a complex
+    array (see `Context.decoherences`); it receives two `EventBatch`es, which
+    support `len`.  Every term of every residual is one value of it, all
+    drawn in one call.  Residuals are aggregated so that a NaN anywhere
+    shows in the report (and fails `passes`) instead of vanishing.  At least
+    one sample and one sum-rule trial are required: residuals over no events
+    would pass with no evidence."""
     if samples < 1 or sum_rule_trials < 1:
         raise ValueError("samples and sum_rule_trials must be at least 1")
-    lhs, rhs = [], []  # D(lhs[i], rhs[i]) is term i
-    for _ in range(samples):
-        a = random_homogeneous_event(rng)
-        b = random_homogeneous_event(rng)
-        x, y, _ = random_disjoint_triple(rng)
-        z = random_homogeneous_event(rng)
-        lhs += [a, b, EventUnion((x, y)), x, y, a]
-        rhs += [b, a, z, z, z, a]
-    lhs.append(HomogeneousEvent.everything())
-    rhs.append(lhs[-1])
-    for _ in range(sum_rule_trials):
-        a, b, c = random_disjoint_triple(rng)
-        lhs += [EventUnion((a, b, c)), EventUnion((a, b)), EventUnion((b, c)), EventUnion((a, c))]
-        lhs += [a, b, c]
-    rhs += lhs[len(rhs) :]  # the sum-rule terms are measures
+    lhs, rhs = _axiom_terms(rng, samples, sum_rule_trials)
     # as Python complex values: `np.abs` can differ from `abs` in the last bit
     values = iter(ctx.decoherences(lhs, rhs).tolist())
     herm, add, diag, sum_rule = [], [], [], []

@@ -1,5 +1,8 @@
 """The path measure: event states, the functional, detectors, oracles."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from pkslab.colourings import Colouring, gamma_p, pks_events
 from pkslab.measure import (
     AxiomReport,
     Context,
+    EventBatch,
     EventUnion,
     HomogeneousEvent,
     InitialState,
@@ -509,6 +513,176 @@ def test_axiom_report_equals_scalar_reference(rng):
             assert report == _reference_axioms(ctx, np.random.default_rng(seed))
 
 
+def _reference_event(rng, max_fixed: int = 3) -> HomogeneousEvent:
+    """A random homogeneous event, drawn one generator call at a time."""
+    k = int(rng.integers(1, max_fixed + 1))
+    rays = rng.choice(N_RAYS, size=k, replace=False)
+    return HomogeneousEvent.from_fixed({int(i): bool(rng.integers(2)) for i in rays})
+
+
+def _reference_triple(rng) -> tuple[HomogeneousEvent, ...]:
+    i, j = (int(x) for x in rng.choice(N_RAYS, size=2, replace=False))
+    a = HomogeneousEvent.from_fixed({i: True, j: True})
+    b = HomogeneousEvent.from_fixed({i: False, j: True})
+    c = HomogeneousEvent.from_fixed({i: True, j: False})
+    return a, b, c
+
+
+def reference_check_axioms(ctx, rng, samples: int = 100, sum_rule_trials: int = 200) -> AxiomReport:
+    """`check_axioms` on event objects: the events drawn one at a time in
+    sampling order, the unions built as `EventUnion`s, and every term taken
+    from one `decoherences` call on two lists of objects."""
+    lhs, rhs = [], []  # D(lhs[i], rhs[i]) is term i
+    for _ in range(samples):
+        a = _reference_event(rng)
+        b = _reference_event(rng)
+        x, y, _ = _reference_triple(rng)
+        z = _reference_event(rng)
+        lhs += [a, b, EventUnion((x, y)), x, y, a]
+        rhs += [b, a, z, z, z, a]
+    lhs.append(HomogeneousEvent.everything())
+    rhs.append(lhs[-1])
+    for _ in range(sum_rule_trials):
+        a, b, c = _reference_triple(rng)
+        lhs += [EventUnion((a, b, c)), EventUnion((a, b)), EventUnion((b, c)), EventUnion((a, c))]
+        lhs += [a, b, c]
+    rhs += lhs[len(rhs) :]
+    values = iter(ctx.decoherences(lhs, rhs).tolist())
+    herm, add, diag, sum_rule = [], [], [], []
+    for _ in range(samples):
+        ab, ba, xy_z, x_z, y_z, aa = itertools.islice(values, 6)
+        herm.append(abs(ab - ba.conjugate()))
+        add.append(abs(xy_z - x_z - y_z))
+        diag.append(aa.real)
+    norm_res = abs(next(values) - 1.0)
+    for _ in range(sum_rule_trials):
+        abc, ab, bc, ac, a, b, c = (v.real for v in itertools.islice(values, 7))
+        sum_rule.append(abs(abc - (ab + bc + ac - a - b - c)))
+    return AxiomReport(
+        hermiticity=float(np.max(herm, initial=0.0)),
+        additivity=float(np.max(add, initial=0.0)),
+        positivity=float(np.min(diag, initial=0.0)),
+        normalisation=norm_res,
+        sum_rule=float(np.max(sum_rule, initial=0.0)),
+        samples=samples,
+    )
+
+
+class _RecordingGenerator:
+    """A seeded `np.random.Generator` that logs every call it forwards:
+    method name, positional and keyword arguments."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return call
+
+
+def test_check_axioms_keeps_the_draw_stream(rng):
+    """`check_axioms` and the sampling helpers make the generator calls of
+    one-event-at-a-time draws, in the same order and with the same
+    arguments, so a seed draws the same events: equal call logs, equal
+    reports and equal next draws on 24 contexts (plain and detected;
+    default, pure and 3-term mixed states)."""
+    for seed in range(10):
+        ours, ref = _RecordingGenerator(seed), _RecordingGenerator(seed)
+        for max_fixed in (1, 3, 29):
+            assert random_homogeneous_event(ours, max_fixed) == _reference_event(ref, max_fixed)
+            assert random_disjoint_triple(ours) == _reference_triple(ref)
+        assert ours.calls == ref.calls
+        assert ours.integers(1 << 62) == ref.integers(1 << 62)
+    for n in range(24):
+        state = (InitialState.default(), random_pure_state(rng), random_mixed_state(rng, terms=3))[n % 3]
+        ordering = Ordering.default() if n < 6 else random_ordering(rng)
+        ctx = Context(ordering, state, detector=int(rng.integers(1, N_RAYS + 1)) if n % 2 else None)
+        sizes = {} if n % 4 == 0 else {"samples": 30, "sum_rule_trials": 40}
+        ours, ref = _RecordingGenerator(100 + n), _RecordingGenerator(100 + n)
+        assert check_axioms(ctx, ours, **sizes) == reference_check_axioms(ctx, ref, **sizes)
+        assert ours.calls == ref.calls
+        assert ours.integers(1 << 62) == ref.integers(1 << 62)
+
+
+def _batch(rows, width: int) -> EventBatch:
+    """The mask columns of events, unions and tuples of members, `width`
+    slots per row."""
+    green, red = np.zeros((2, len(rows), width), dtype=np.int64)
+    sizes = []
+    for i, row in enumerate(rows):
+        members = row.members if isinstance(row, EventUnion) else row if isinstance(row, tuple) else (row,)
+        for k, m in enumerate(members):
+            green[i, k], red[i, k] = m.green_mask, m.red_mask
+        sizes.append(len(members))
+    return EventBatch(green, red, sizes)
+
+
+def test_batch_decoheres_as_its_objects(rng):
+    """`decoherences` on `EventBatch`es equals it on the same events as
+    objects, bit for bit: unions of two and three members, the everything
+    event and the empty union, members repeated across rows and equal ones
+    built apart, slots wider than any row, on either side or both, for pure
+    and 3-term mixed states with and without a detector."""
+    ordering = random_ordering(rng)
+    events = [random_homogeneous_event(rng, max_fixed=5) for _ in range(20)]
+    events += [HomogeneousEvent.everything(), EventUnion(())]
+    for _ in range(6):
+        x, y, z = random_disjoint_triple(rng)
+        equal = HomogeneousEvent(x.green_mask, x.red_mask)  # == x, built apart
+        events += [EventUnion((x, y, z)), EventUnion((y, z)), EventUnion((z, equal)), x, equal]
+    others = [events[int(i)] for i in rng.permutation(len(events))]
+    for ctx in (
+        Context(ordering, random_pure_state(rng)),
+        Context(ordering, random_mixed_state(rng, terms=3)),
+        Context(ordering, random_mixed_state(rng, terms=3), detector=12),
+    ):
+        expect = ctx.decoherences(events, others).tolist()
+        for width in (3, 5):
+            a, b = _batch(events, width), _batch(others, width)
+            assert len(a) == len(events)
+            assert ctx.decoherences(a, b).tolist() == expect
+            assert ctx.decoherences(a, others).tolist() == expect
+            assert ctx.decoherences(events, b).tolist() == expect
+            assert ctx.decoherences(a, a).tolist() == ctx.decoherences(events, events).tolist()
+    assert ctx.decoherences(_batch([], 0), []).shape == (0,)
+
+
+def test_batch_rejects_what_the_objects_reject():
+    """A batch that holds an invalid event or union is refused with the
+    object's message: for overlapping members, the first overlapping pair of
+    the first such row, as `EventUnion` names it."""
+
+    def members(*fixed):
+        return tuple(HomogeneousEvent.from_fixed(f) for f in fixed)
+
+    valid = members({0: True}, {0: False, 1: True}, {0: False, 1: False})
+    early = members({0: True}, {1: True})  # the first two overlap
+    late = members({0: True}, {0: False, 1: True}, {0: False, 2: True})  # only the last two
+    EventUnion(valid)
+    for rows, bad in (([early], early), ([valid, late, early], late), ([valid, early, late], early)):
+        with pytest.raises(ValueError) as caught:
+            EventUnion(bad)
+        assert str(caught.value).startswith("members overlap")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            _batch(rows, 3)
+    for green, red in ((1, 1), (1 << N_RAYS, 0), (0, -1)):
+        with pytest.raises(ValueError) as caught:
+            HomogeneousEvent(green, red)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            EventBatch([[0, green]], [[0, red]], [2])
+    with pytest.raises(ValueError, match="must be zero"):
+        EventBatch([[1, 2]], [[0, 0]], [1])
+    with pytest.raises(ValueError, match="member counts"):
+        EventBatch([[1]], [[0]], [2])
+    assert len(_batch([valid, early[0], ()], 4)) == 3
+
+
 def test_pks_zero_measures_every_disjoint_union(monkeypatch, rng):
     events = pks_events()
     green = np.array([e.green_mask for e in events])
@@ -544,7 +718,7 @@ def test_pks_zero_measures_every_disjoint_union(monkeypatch, rng):
 
     monkeypatch.setattr(EventUnion, "__post_init__", counting)
     report = verify_pks_zero(Context())
-    assert built == [2] * 192 and len(report.union_entries) == 192
+    assert built == [] and len(report.union_entries) == 192  # the unions are batch rows
 
 
 def test_detector_position_validation():
