@@ -215,7 +215,7 @@ class _Chains:
         its children are v - along (red) and along (green)."""
         v = self._split(v, last, p)
         out = np.empty((2, *v.shape))
-        spin.project(v, self.u[p][:, None, None, :], out=out[1])
+        spin.project(v, np.take(self.u, p, axis=0)[:, None, None, :], out=out[1])
         np.subtract(v, out[1], out=out[0])
         return out.reshape(-1, *v.shape[1:])
 
@@ -304,7 +304,7 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
         level = []
         for par, p in _children(last):
             n = par.size
-            child = chains.branch(state[par], last[par], p)
+            child = chains.branch(np.take(state, par, axis=0), last[par], p)
             norm = _norms(child)
             zm = norm < ctx.threshold
             min_rejected = min(min_rejected, norm[~zm].min(initial=math.inf))
@@ -319,9 +319,9 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
             # the pairs whose operator products are stepped, and each one's rank among them
             has = zm[:n] | zm[n:] | (k < max_fixed)
             pairs = np.flatnonzero(has)
-            c_op = chains.branch(op[par[pairs]], last[par[pairs]], p[pairs])
+            c_op = chains.branch(np.take(op, par[pairs], axis=0), last[par[pairs]], p[pairs])
             z_op = (np.cumsum(has) - 1)[z % n] + pairs.size * (z >= n)  # the zero rows' products
-            op_norm = _norms(c_op[z_op])
+            op_norm = _norms(np.take(c_op, z_op, axis=0))
             if k < max_fixed:
                 level.append((c_p.astype(np.int8), c_green, c_red, c_adj, child, c_op))
             del c_op  # a last-level block's products go before the next block is built
@@ -331,7 +331,19 @@ def _zero_rows(ctx, max_fixed: int) -> tuple:
             last, green, red, adjacent, state, op = (np.concatenate(c) for c in zip(*level))
     del last, green, red, adjacent, state, op  # the stored level, before the zero rows are joined
     n_fixed, green, red, norm, code = (np.concatenate(c) for c in zip(*zeros))
-    return np.lexsort((red, green, n_fixed)), green, red, norm, code, float(min_rejected)
+    del zeros  # the per-block pieces, before the sort's keys are built
+    return _record_order(n_fixed, green, red), green, red, norm, code, float(min_rejected)
+
+
+def _record_order(n_fixed, green, red) -> np.ndarray:
+    """`np.lexsort((red, green, n_fixed))` of 33-bit masks and fixed-ray
+    counts below 2**14, as one stable sort over five 16-bit digits of the
+    key (n_fixed, green, red), least significant first, which numpy
+    radix-sorts.  Each digit is cut to uint16 as it is built."""
+    u16 = np.uint16
+    return np.lexsort([red.astype(u16), (red >> 16).astype(u16),
+                       (red >> 32 | green << 1).astype(u16), (green >> 15).astype(u16),
+                       (green >> 31 | n_fixed.astype(np.int64) << 2).astype(u16)])
 
 
 def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
@@ -378,13 +390,13 @@ def _support_chains(k: int):
             green = (np.where(pp[par], gpp.bits, gp.bits) >> ray & 1).astype(bool)
             fork = np.flatnonzero(~pp[par] & ~fixes[par] & (disagree >> ray & 1).astype(bool))
             pick = np.concatenate([np.arange(m) + m * green, fork + m * ~green[fork]])
-            child, pair = chains.branch(state[par], None, ray), pick % m  # no cut
+            child, pair = chains.branch(np.take(state, par, axis=0), None, ray), pick % m  # no cut
             c_pp = np.concatenate([pp[par], np.ones(fork.size, dtype=bool)])
             c_at = np.column_stack([at[par[pair]], ray[pair]]).astype(np.int8)
             if j + 1 == k:
                 yield c_pp, c_at, _norms(child)[pick]
             else:
-                yield from descend(c_pp, c_at, child[pick])
+                yield from descend(c_pp, c_at, np.take(child, pick, axis=0))
 
     yield from descend(np.zeros(1, dtype=bool), np.zeros((1, 0), np.int8), chains.state)
 
@@ -726,11 +738,15 @@ def _scope(max_fixed: int) -> str:
 
 def context_coverage(ctx: Context, max_fixed: int) -> tuple[CoverageVerdict, ZeroScan]:
     """The scan's zeros and the zero structural candidates, as plain zero
-    events, then the coverage decision on them all."""
+    events, then the coverage decision on them all, made on the only rows
+    it reads: the scan's support holders, in record order, then the
+    structural zeros, so the verdict and witness are the same."""
     scan, built = scan_zero_events(ctx, max_fixed), structural_threat_pairs(ctx)
-    events = EventArray(np.concatenate([scan.events.green, built.green]),
-                        np.concatenate([scan.events.red, built.red]))
-    return coverage_check(phi_m_support(), events, _scope(max_fixed)), scan
+    support = phi_m_support()
+    held = np.logical_or.reduce([scan.events.holds(c) for c in support])
+    events = EventArray(np.concatenate([scan.events.green[held], built.green]),
+                        np.concatenate([scan.events.red[held], built.red]))
+    return coverage_check(support, events, _scope(max_fixed)), scan
 
 
 # --- the ordering search ---------------------------------------------------------

@@ -43,9 +43,15 @@ def ray_directions() -> np.ndarray:
 def project(v: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The green step of real Cartesian slots, u (u.v): the slots `v`
     (..., 3) projected onto unit directions `u` that broadcast against them.
-    The red step is v less this.  Every chain step and detector split is here."""
+    The red step is v less this.  Every chain step and detector split is here.
+    The product is written one column at a time: numpy's broadcast multiply
+    over a length-3 last axis takes about twice as long for the same bits."""
     dot = np.einsum("...i,...i->...", v, u)
-    return np.multiply(dot[..., None], u, out=out)
+    if out is None:
+        out = np.empty((*dot.shape, 3), dot.dtype)
+    for c in range(3):
+        np.multiply(dot, u[..., c], out=out[..., c])
+    return out
 
 
 def cartesian_slots(vectors) -> np.ndarray:

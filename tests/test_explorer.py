@@ -748,6 +748,24 @@ def test_operator_norms_are_taken_for_zero_rows_only(monkeypatch):
         assert sum(seen) == len(scan)
 
 
+def test_record_order_is_the_three_key_lexsort(rng):
+    """The radix sort's 16-bit digits split the masks after red rays 15 and
+    31, red ray 32 shares a digit with green rays 0-14, and green rays 31-32
+    one with the fixed-ray count: on columns that fix the rays at and next
+    to those cuts in both colours, with 1-5 fixed rays and repeated rows,
+    the order is the three-key lexsort's, ties included."""
+    rays = np.array([0, 1, 14, 15, 16, 17, 30, 31, 32])
+    for _ in range(20):
+        colour = rng.integers(3, size=(3000, rays.size))  # per row and ray: free, green, red
+        green = ((colour == 1) << rays).sum(axis=1)
+        red = ((colour == 2) << rays).sum(axis=1)
+        n_fixed = rng.integers(1, 6, size=green.size).astype(np.int8)
+        rows = rng.integers(green.size, size=green.size)  # about a third of the rows repeat
+        n_fixed, green, red = n_fixed[rows], green[rows], red[rows]
+        want = np.lexsort((red, green, n_fixed))
+        assert np.array_equal(explorer._record_order(n_fixed, green, red), want)
+
+
 @pytest.mark.slow
 def test_depth5_provenance_split(default_ctx):
     scan = scan_zero_events(default_ctx, 5)
@@ -1009,6 +1027,34 @@ def test_coverage_makes_no_records(monkeypatch):
     assert built == []
     scan[0]  # the counter does see a record built on access
     assert built == [1]
+
+
+def _holder_coverage_contexts():
+    """24 contexts: random orderings under the default, maximally mixed,
+    random pure and 3-term mixed states, with and without a detector, at
+    thresholds 1e-10, 0.1 and 0.3."""
+    rng = np.random.default_rng(20261021)
+    states = (InitialState.default, maximally_mixed_state,
+              lambda: random_pure_state(rng), lambda: random_mixed_state(rng, 3))
+    for i in range(24):
+        detector = int(rng.integers(1, N_RAYS + 1)) if i // 4 % 2 else None
+        yield Context(random_ordering(rng), states[i % 4](), (DEFAULT_THRESHOLD, 0.1, 0.3)[i % 3],
+                      detector), 2 + i // 12
+
+
+def test_coverage_on_the_holders_is_coverage_on_every_zero():
+    """`context_coverage` decides on the scan's support holders and the
+    structural zeros; its verdict, witness and scope are `coverage_check`'s
+    on all the scan's zeros followed by the structural zeros."""
+    seen = set()
+    for ctx, depth in _holder_coverage_contexts():
+        verdict, scan = context_coverage(ctx, depth)
+        built = structural_threat_pairs(ctx)
+        events = EventArray(np.concatenate([scan.events.green, built.green]),
+                            np.concatenate([scan.events.red, built.red]))
+        assert verdict == coverage_check(phi_m_support(), events, explorer._scope(depth))
+        seen.add(len(verdict.witness) if verdict.covered else 0)
+    assert seen == {0, 1, 2}
 
 
 # --- the ordering search's holder pass ------------------------------------------

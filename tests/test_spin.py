@@ -175,3 +175,27 @@ def test_spin_squared_commute_for_orthogonal_directions():
         a, b = ray_projector(i, True), ray_projector(j, True)  # squares differ from
         # the projectors by a sign and shift, so commutators agree
         assert np.linalg.norm(a @ b - b @ a) < 1e-12
+
+
+@pytest.mark.parametrize("use_out", [False, True])
+def test_project_is_the_broadcast_product_in_every_shape(use_out):
+    """`spin.project`, written one column at a time, gives the bytes of the
+    broadcast product u (u.v) for the scan's per-row directions
+    (n, 1, 1, 3) against its states (n, sectors, slots, 3), the detector
+    split's one direction (3,), and the functional's per-row directions
+    (n, 1, 3) against its slots (n, slots, 3), into `out` or a new array."""
+    rng = np.random.default_rng(20261021)
+    u = spin.ray_directions()
+    n = 64
+    cases = [
+        (rng.normal(size=(n, 2, 4, 3)), u[rng.integers(33, size=n)][:, None, None, :]),
+        (rng.normal(size=(n, 4, 3)), u[7]),
+        (rng.normal(size=(n, 6, 3)), u[rng.integers(33, size=n)][:, None, :]),
+    ]
+    for v, w in cases:
+        want = np.einsum("...i,...i->...", v, w)[..., None] * w
+        out = np.full((2, *want.shape), np.nan)[1] if use_out else None
+        got = spin.project(v, w, out=out)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert out is None or got is out
