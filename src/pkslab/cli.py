@@ -91,15 +91,18 @@ def _load_state(path: str | None) -> measure.InitialState:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("state file must hold a JSON object")
-    if "pure" in data:
-        return measure.InitialState.pure(_vector(data["pure"]))
-    if "mixed" in data:
-        terms = data["mixed"]
-        if not isinstance(terms, list) or not all(
-            isinstance(t, dict) and _is_number(t.get("weight")) for t in terms
-        ):
-            raise ValueError("'mixed' must list objects with a numeric 'weight'")
-        return measure.InitialState([(t["weight"], _vector(t.get("pure"))) for t in terms])
+    try:  # an integer beyond float range overflows `complex` and the weight checks
+        if "pure" in data:
+            return measure.InitialState.pure(_vector(data["pure"]))
+        if "mixed" in data:
+            terms = data["mixed"]
+            if not isinstance(terms, list) or not all(
+                isinstance(t, dict) and _is_number(t.get("weight")) for t in terms
+            ):
+                raise ValueError("'mixed' must list objects with a numeric 'weight'")
+            return measure.InitialState([(t["weight"], _vector(t.get("pure"))) for t in terms])
+    except OverflowError:
+        raise ValueError("state file numbers must fit a float") from None
     raise ValueError("state file must contain 'pure' or 'mixed'")
 
 

@@ -19,7 +19,6 @@ theorem it can decide.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -359,11 +358,12 @@ def scan_zero_events(ctx, max_fixed: int) -> ZeroScan:
     return ZeroScan(*columns, min_rejected)
 
 
-def _support_chains(k: int):
+def _support_chains(k: int, rays=range(N_RAYS)):
     """Blocks (gamma_P' flag, ray tuples (n, k) int8 in stage order, norms)
     of the gamma_P and gamma_P' chains under the maximally mixed state,
-    without a detector, on every ordered k-tuple of distinct rays; a
-    gamma_P' chain is listed only where it fixes a disagreement ray.
+    without a detector, on every ordered k-tuple of distinct rays drawn from
+    `rays`; a gamma_P' chain is listed only where it fixes a disagreement
+    ray.
 
     Such a chain depends only on its fixed rays in stage order, so these
     serve every ordering.  They are stepped depth first, about `_BLOCK`
@@ -379,7 +379,8 @@ def _support_chains(k: int):
 
     def descend(pp, at, state):  # per row: gamma_P' flag, ray tuple, chain state
         j, n = at.shape[1], len(at)
-        free = np.ones((n, N_RAYS), dtype=bool)
+        free = np.zeros((n, N_RAYS), dtype=bool)
+        free[:, list(rays)] = True
         free[np.arange(n)[:, None], at] = False
         fixes = (disagree >> at.astype(np.int64) & 1).any(axis=1)
         step = max(1, _BLOCK // (2 * (N_RAYS - j)))  # parents per block
@@ -414,6 +415,23 @@ def _null_rows(k: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_column(np.concatenate(rows), np.int8) for rows in null)
 
 
+def _held(pos, at):
+    """The (row, list row) pairs where row i of `pos` (n, m), which maps
+    each ray to its stage in ordering i, holds row t of the ray tuples `at`
+    (l, k) in stage order: pos[r_1] < ... < pos[r_k], a position test made
+    for every ordering at once, yielded about `_BLOCK` tests at a time."""
+    step = max(1, _BLOCK // max(1, len(pos)))  # list rows per test block
+    for lo in range(0, len(at), step):
+        block = at[lo:lo + step]
+        held, p = np.ones((len(pos), len(block)), dtype=bool), pos[:, block[:, 0]]
+        for j in range(1, at.shape[1]):  # (orderings, list rows): pos[r_j] < pos[r_j+1]
+            q = pos[:, block[:, j]]
+            held &= p < q
+            p = q
+        row, t = np.nonzero(held)
+        yield row, t + lo
+
+
 def _holders(pos, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
     """The (row, green, red) columns of the events that hold gamma_P or
     gamma_P' in the `scan_zero_events` of each ordering, under the maximally
@@ -425,27 +443,17 @@ def _holders(pos, threshold: float, max_fixed: int) -> tuple[np.ndarray, ...]:
     so its chain is one of the scan's chains with the colouring's child at
     every step, and it is null exactly when its fixed rays in stage order
     are a `_null_rows` tuple of that colouring.  So an ordering holds the
-    tuple (r_1, ..., r_k) iff pos[r_1] < ... < pos[r_k], a position test
-    made for every ordering at once, about `_BLOCK` tests at a time.  An
-    event holding both colourings fixes no disagreement ray, so only its
-    gamma_P tuple is listed.  An empty list, such as levels 1 and 2 at
-    1e-10, costs no test."""
+    tuple exactly when `_held` pairs them.  An event holding both colourings
+    fixes no disagreement ray, so only its gamma_P tuple is listed.  An
+    empty list, such as levels 1 and 2 at 1e-10, costs no test."""
     gp, gpp = phi_m_support()
     pos = np.asarray(pos, dtype=np.int8).reshape(-1, N_RAYS)
     none = np.zeros(0, np.int64)
     levels = [(none, none.astype(np.int8), none, none)]  # row, n_fixed, green, red of holders
-    step = max(1, _BLOCK // max(1, len(pos)))  # list rows per test block
     for k in range(1, max_fixed + 1):
         for bits, null in zip((gp.bits, gpp.bits), _null_rows(k, threshold)):
-            for lo in range(0, len(null), step):
-                at = null[lo:lo + step]
-                held, p = np.ones((len(pos), len(at)), dtype=bool), pos[:, at[:, 0]]
-                for j in range(1, k):  # (orderings, list rows): pos[r_j] < pos[r_j+1]
-                    q = pos[:, at[:, j]]
-                    held &= p < q
-                    p = q
-                row, i = np.nonzero(held)
-                fixed = np.bitwise_or.reduce(np.int64(1) << at[i], axis=1)
+            for row, t in _held(pos, null):
+                fixed = np.bitwise_or.reduce(np.int64(1) << null[t], axis=1)
                 levels.append((row, np.full(row.size, k, np.int8), fixed & bits, fixed & ~bits))
     row, n_fixed, green, red = (np.concatenate(c) for c in zip(*levels))
     order = np.lexsort((red, green, n_fixed, row))
@@ -649,46 +657,27 @@ def _ray_candidates() -> np.ndarray:
     return _column([(e.green_mask, e.red_mask) for e in events], np.int64)
 
 
-# The place values of a relative stage order of four rays, read as base-4
-# digits: its `_ray_candidate_table` key.
-_ORDER_DIGITS = (64, 16, 4, 1)
-
-
 @lru_cache(maxsize=1)
-def _ray_candidate_table() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed rays (8, 4) of each `_ray_candidates` row in ray order, and
-    the norms (8, 4**4) of its support chain under the maximally mixed
-    state, without a detector, in every relative stage order of those rays;
-    built on first use.
+def _candidate_chains() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support chains of the `_ray_candidates`, one row per candidate
+    per relative stage order of its fixed rays (156 rows): the candidate,
+    those rays (n, 4) int8 in stage order, and the norm; built on first use.
 
-    A candidate on three rays gets a fourth at position N_RAYS, after every
-    stage and never stepped.  A stage order is keyed by the argsort of the
-    rays' positions read as base-4 digits, most significant first; keys
-    that are no stage order hold NaN.  As in `_support_chains`, a chain steps
-    its colouring's colour over its fixed rays in stage order with
-    `_Chains.branch` under `Ordering.default()`, so its norm depends on the
-    order of those rays alone."""
+    A candidate's rows are the `_support_chains` drawn from its own rays, of
+    its own colouring, so each norm depends on the order of those rays
+    alone.  A candidate on three rays gets a fourth, N_RAYS, a stage after
+    every other."""
     shared = _ray_candidates()
-    fixed = np.full((len(shared), 4), N_RAYS)
-    row, order = [], []  # per chain: candidate, columns of its rays in stage order
+    own_pp = ~EventArray(*shared.T).holds(phi_m_support()[0])  # each candidate's colouring
+    rows = []
     for c, (green, red) in enumerate(shared.tolist()):
         rays = [w for w in range(N_RAYS) if (green | red) >> w & 1]
-        fixed[c, :len(rays)] = rays
-        for o in itertools.permutations(range(len(rays))):
-            row.append(c)
-            order.append(o + tuple(range(len(rays), 4)))
-    row, order = np.array(row), np.array(order)
-    at = fixed[row[:, None], order]
-    length, green_at = (at < N_RAYS).sum(axis=1), (shared[row, :1] >> at & 1).astype(bool)
-    chains = _Chains(Context(Ordering.default(), maximally_mixed_state()))
-    state = np.repeat(chains.state, len(at), axis=0)
-    for j in range(4):
-        rows = np.flatnonzero(length > j)
-        child = chains.branch(state[rows], None, at[rows, j])
-        state[rows] = child[rows.size * green_at[rows, j] + np.arange(rows.size)]
-    table = np.full((len(shared), 4**4), np.nan)
-    table[row, order @ _ORDER_DIGITS] = _norms(state)
-    return _column(fixed, np.intp), _column(table, np.float64)
+        for pp, at, norm in _support_chains(len(rays), rays):
+            own = pp == own_pp[c]
+            at = np.pad(at[own], ((0, 0), (0, 4 - len(rays))), constant_values=N_RAYS)
+            rows.append((np.full(len(at), c), at, norm[own]))
+    cand, at, norm = (np.concatenate(c) for c in zip(*rows))
+    return _column(cand, np.intp), _column(at, np.int8), _column(norm, np.float64)
 
 
 def _threat_pairs(pos, threshold: float) -> tuple[np.ndarray, ...]:
@@ -697,24 +686,27 @@ def _threat_pairs(pos, threshold: float) -> tuple[np.ndarray, ...]:
     of `pos` (n, 33), which maps each ray to its stage: by row, and within
     a row in candidate order.
 
-    A ray candidate is a support chain on its 3-4 fixed rays, so its norm is
-    read from `_ray_candidate_table` at the relative stage order of those
-    rays; no chain is stepped per call.  The gap pair is kept with no norm
-    taken: the rays between the first and last basis stages are free and
-    sum to I, so gamma_P's three red B11 projectors (gamma_P''s red B7 ones)
-    become adjacent, and the product of the three red projectors of an
-    orthonormal basis is exactly 0."""
+    A ray candidate is a support chain on its 3-4 fixed rays, so it is zero
+    in an ordering exactly when `_held` pairs the ordering with one of its
+    `_candidate_chains` rows whose norm falls below the threshold; no chain
+    is stepped per call.  The gap pair is kept with no norm taken: the rays
+    between the first and last basis stages are free and sum to I, so
+    gamma_P's three red B11 projectors (gamma_P''s red B7 ones) become
+    adjacent, and the product of the three red projectors of an orthonormal
+    basis is exactly 0."""
     gp, gpp = phi_m_support()
     pos = np.asarray(pos).reshape(-1, N_RAYS)
-    shared, (fixed, table) = _ray_candidates(), _ray_candidate_table()
-    # each ray's position, then N_RAYS for a three-ray candidate's fourth
-    key = np.argsort(np.append(pos, np.full((len(pos), 1), N_RAYS), axis=1)[:, fixed],
-                     axis=2) @ _ORDER_DIGITS
+    shared, (cand, at, norm) = _ray_candidates(), _candidate_chains()
     gaps = [_gap_masks(gp, _chain_basis(11), pos), _gap_masks(gpp, _chain_basis(7), pos)]
     masks = np.concatenate([np.broadcast_to(shared, (len(pos), *shared.shape)),
                             np.stack(gaps, axis=1)], axis=1)  # (rows, candidates, colour)
-    zero = np.ones(masks.shape[:2], dtype=bool)
-    zero[:, :len(shared)] = table[np.arange(len(shared)), key] < threshold
+    zero = np.zeros(masks.shape[:2], dtype=bool)
+    zero[:, len(shared):] = True  # the gap pair
+    null = np.flatnonzero(norm < threshold)
+    # each ray's stage, then N_RAYS for a three-ray candidate's fourth
+    staged = np.append(pos, np.full((len(pos), 1), N_RAYS), axis=1)
+    for row, t in _held(staged, at[null]):
+        zero[row, cand[null[t]]] = True
     row, c = np.nonzero(zero)
     return row, masks[row, c, 0], masks[row, c, 1]
 
@@ -833,13 +825,13 @@ def ordering_search(
     holders, in its record order: position tests against one list of null
     support-chain tuples per level) and its structural zeros, which one
     `_threat_pairs` pass gives for every candidate: its ray candidates are
-    support chains read from a table by the relative order of their rays,
-    and its gap pair is null exactly.  Both come as flat columns
-    keyed by candidate, and one `_segment_coverage` call decides every
-    candidate on its own segment (its holders, then its structural zeros),
-    picking the witness `context_coverage` picks at every threshold of at
-    least 1e-15; below that, float zero tests are rounding.  Candidates rank
-    by (covered, support holders, label).
+    `_candidate_chains` rows, support chains on their own rays scored by
+    the same position test, and its gap pair is null exactly.  Both come
+    as flat columns keyed by candidate, and one `_segment_coverage` call
+    decides every candidate on its own segment (its holders, then its
+    structural zeros), picking the witness `context_coverage` picks at
+    every threshold of at least 1e-15; below that, float zero tests are
+    rounding.  Candidates rank by (covered, support holders, label).
 
     `strategy` accepts only "structural", the one search; the keyword stays
     for the benchmark's callers and goes with the next benchmark change.

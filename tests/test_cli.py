@@ -123,8 +123,9 @@ def test_measure_check_rejects_bad_state(tmp_path, capsys):
     assert code == 2
 
 
-# Files of the wrong shape or type: each must be refused as a config error
-# (exit 2), not crash the loaders with a TypeError or AttributeError.
+# Files of the wrong shape or type, or with an integer no float can hold:
+# each must be refused as a config error (exit 2), not crash the loaders
+# with a TypeError, AttributeError or OverflowError.
 BAD_CONFIG_FILES = [
     ("--state", {"pure": 5}),
     ("--state", None),
@@ -135,6 +136,8 @@ BAD_CONFIG_FILES = [
     ("--state", {"mixed": [{"weight": "1", "pure": [[0, 0], [1, 0], [0, 0]]}]}),
     ("--ordering", [1, 2, 3]),
     ("--state", {"mixed": [{"weight": 1.0}]}),
+    ("--state", {"pure": [[10**400, 0], [0, 0], [0, 0]]}),
+    ("--state", {"mixed": [{"weight": 10**400, "pure": [[1, 0], [0, 0], [0, 0]]}]}),
 ]
 
 

@@ -1199,39 +1199,81 @@ def test_the_holder_level_skip_is_exact_at_its_boundary(rng, k):
             assert red.tobytes() == want_red.tobytes(), (k, threshold)
 
 
-def test_ray_candidate_table_is_each_chain_stepped_alone():
-    """Every ray candidate's norm in every relative stage order of its rays
-    is, to the bit, its support chain stepped alone with `_Chains.branch`
-    under `Ordering.default()`; the table keys nothing else."""
-    fixed, table = explorer._ray_candidate_table()
+def test_candidate_chains_are_each_chain_stepped_alone():
+    """Every ray candidate has one row per relative stage order of its rays,
+    padded with N_RAYS after a three-ray candidate's third, and each row's
+    norm is, to the bit, its support chain stepped alone with
+    `_Chains.branch` under `Ordering.default()`."""
+    cand, at, norm = explorer._candidate_chains()
     chains = explorer._Chains(Context(Ordering.default(), maximally_mixed_state()))
-    checked = 0
-    for c, (green, red) in enumerate(explorer._ray_candidates().tolist()):
-        rays = [w for w in range(N_RAYS) if (green | red) >> w & 1]
-        assert fixed[c].tolist() == rays + [N_RAYS] * (4 - len(rays))
-        for order in itertools.permutations(range(len(rays))):
-            state = chains.state
-            for j in order:
-                w = rays[j]
-                state = chains.branch(state, None, np.array([w]))[[green >> w & 1]]
-            key = sum(j * 4 ** (3 - i) for i, j in enumerate(order + (3,) * (4 - len(rays))))
-            assert table[c, key].tobytes() == explorer._norms(state)[0].tobytes(), (c, order)
-            checked += 1
-    assert checked == np.count_nonzero(~np.isnan(table)) == 6 * 24 + 2 * 6
+    shared = explorer._ray_candidates().tolist()
+    orders = set()
+    for c, row, x in zip(cand.tolist(), at.tolist(), norm):
+        green, red = shared[c]
+        rays = [w for w in row if w < N_RAYS]
+        assert row == rays + [N_RAYS] * (4 - len(rays)) and sum(1 << w for w in rays) == green | red
+        state = chains.state
+        for w in rays:
+            state = chains.branch(state, None, np.array([w]))[[green >> w & 1]]
+        assert x.tobytes() == explorer._norms(state)[0].tobytes(), (c, rays)
+        orders.add((c, tuple(rays)))
+    assert len(orders) == len(cand) == 6 * 24 + 2 * 6
 
 
-def test_ray_candidate_table_margin():
-    """Every finite norm of the ray-candidate table is below 1e-15 or above
-    0.15, so the search's default threshold sits far from both sides: at it
-    92 of the 156 stage orders are null, and at 0.3 all of them are."""
-    _, table = explorer._ray_candidate_table()
-    finite = table[~np.isnan(table)]
-    assert finite.size == 156
-    assert np.all((finite < 1e-15) | (finite > 0.15))
-    null = np.nan_to_num(table, nan=np.inf) < DEFAULT_THRESHOLD
-    assert null.sum(axis=1).tolist() == [6, 12, 12, 6, 12, 16, 16, 12]
-    assert np.count_nonzero(finite < DEFAULT_THRESHOLD) == 92
-    assert np.count_nonzero(finite < 0.3) == 156
+def test_candidate_chain_margin():
+    """Every candidate-chain norm is below 1e-15 or above 0.15, so the
+    search's default threshold sits far from both sides: at it 92 of the
+    156 rows are null, and at 0.3 all of them are."""
+    cand, _, norm = explorer._candidate_chains()
+    assert norm.size == 156
+    assert np.all((norm < 1e-15) | (norm > 0.15))
+    null = norm < DEFAULT_THRESHOLD
+    assert np.bincount(cand[null], minlength=8).tolist() == [6, 12, 12, 6, 12, 16, 16, 12]
+    assert np.count_nonzero(null) == 92
+    assert np.count_nonzero(norm < 0.3) == 156
+
+
+def _sorted_chain_rows(blocks):
+    """The (gamma_P' flag, ray tuple, norm) rows of `_support_chains`
+    blocks, sorted by flag and tuple."""
+    pp, at, norm = (np.concatenate(c) for c in zip(*blocks))
+    order = np.lexsort([*at.T[::-1], pp])
+    return pp[order], at[order], norm[order]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_support_chains_drawn_from_some_rays_are_the_full_rows_restricted(k):
+    """`_support_chains(k, rays)` yields, to the bit, the rows of
+    `_support_chains(k)` whose tuples are drawn from `rays`: for the first
+    ray candidate's rays, for rays given out of order, and for every third
+    ray."""
+    full = list(explorer._support_chains(k))
+    green, red = explorer._ray_candidates()[0].tolist()
+    subsets = ([w for w in range(N_RAYS) if (green | red) >> w & 1], [32, 5, 17, 1, 20],
+               range(0, N_RAYS, 3))
+    for rays in subsets:
+        drawn, blocks = np.isin(np.arange(N_RAYS), list(rays)), []
+        for pp, at, norm in full:
+            keep = drawn[at].all(axis=1)
+            blocks.append((pp[keep], at[keep], norm[keep]))
+        want = _sorted_chain_rows(blocks)
+        got = _sorted_chain_rows(explorer._support_chains(k, rays))
+        assert want[0].size > 0 and all(w.tobytes() == g.tobytes() for w, g in zip(want, got))
+
+
+def test_null_candidate_chains_are_null_list_rows():
+    """Every null candidate row at 1e-10 is a row of `_null_rows(k, 1e-10)`
+    for its colouring (gamma_P for even candidates, gamma_P' for odd): 12 at
+    k = 3 and 80 at k = 4.  So a search at depth >= 4 finds these events
+    twice, as support holders and as structural zeros."""
+    cand, at, norm = explorer._candidate_chains()
+    found = {3: 0, 4: 0}
+    for c, row in zip(cand[norm < DEFAULT_THRESHOLD], at[norm < DEFAULT_THRESHOLD]):
+        rays = row[row < N_RAYS]
+        null = explorer._null_rows(len(rays), DEFAULT_THRESHOLD)[c % 2]
+        assert (null == rays).all(axis=1).any(), (c, rays)
+        found[len(rays)] += 1
+    assert found == {3: 12, 4: 80}
 
 
 def test_a_depth2_search_builds_two_table_levels():
